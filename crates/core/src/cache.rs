@@ -82,6 +82,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Hit/miss counters for one cached stage of the rewrite pipeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -129,6 +130,21 @@ pub struct StageTimings {
     pub total_ns: u64,
 }
 
+/// Wall-clock nanoseconds the persistent store cost, outside the
+/// compute it saved.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct StoreTimings {
+    /// Opening the attached store (the writer lock, then reading,
+    /// checksumming and indexing its segments). The store opens once,
+    /// before any rewrite, so this is the trace's total so far rather
+    /// than a per-rewrite delta.
+    pub open_ns: u64,
+    /// Decoding store-hit payloads during this rewrite, per stage in
+    /// [`Stage::ALL`] order. Summed over worker threads, and contained
+    /// in the analysis and relocate stage times.
+    pub decode_ns: [u64; 5],
+}
+
 /// Cache-hit and timing counters for one rewrite, attached to
 /// [`RewriteOutcome`](crate::RewriteOutcome) and printed by
 /// `icfgp rewrite --stats`.
@@ -158,6 +174,9 @@ pub struct RewriteStats {
     /// Persistent-store activity during this rewrite (all zero when no
     /// store is attached).
     pub store: StoreStats,
+    /// Persistent-store open and decode time (all zero when no store is
+    /// attached).
+    pub store_time: StoreTimings,
 }
 
 /// Fold per-function `(entry, ns)` samples into the top-5 `slowest`
@@ -335,6 +354,17 @@ struct FuncPayload {
     origin_fp: u64,
 }
 
+impl FuncPayload {
+    /// The binary encoding of a `FuncPayload` built from borrowed
+    /// parts: the codec is positional, so a struct encodes as its
+    /// fields in declaration order.
+    fn encode_parts(cfg: &FuncCfg, deps: &[FuncDep], origin_fp: u64, out: &mut Vec<u8>) {
+        cfg.encode(out);
+        deps.encode(out);
+        origin_fp.encode(out);
+    }
+}
+
 /// An in-memory function-analysis entry: the CFG plus its read-set.
 #[derive(Clone)]
 struct FuncEntry {
@@ -372,6 +402,15 @@ struct FragPayload {
     origin_fp: u64,
 }
 
+impl FragPayload {
+    /// See [`FuncPayload::encode_parts`].
+    fn encode_parts(frag: &FuncFragment, cfg_fp: u64, origin_fp: u64, out: &mut Vec<u8>) {
+        frag.encode(out);
+        cfg_fp.encode(out);
+        origin_fp.encode(out);
+    }
+}
+
 /// An in-memory fragment entry (see [`FragPayload`]).
 #[derive(Clone)]
 struct FragEntry {
@@ -386,6 +425,39 @@ struct FragEntry {
 struct EmitPayload {
     emit: RelocEmit,
     origin_fp: u64,
+}
+
+impl EmitPayload {
+    /// See [`FuncPayload::encode_parts`].
+    fn encode_parts(emit: &RelocEmit, origin_fp: u64, out: &mut Vec<u8>) {
+        emit.encode(out);
+        origin_fp.encode(out);
+    }
+}
+
+/// Decode one persisted payload as its stage's record type and encode
+/// it again. The codec is canonical, so for a well-formed record the
+/// result equals `payload`; anything else is an `Err` (the same
+/// verdict a lookup would quarantine on). For store tooling and the
+/// codec's robustness tests.
+///
+/// # Errors
+///
+/// The decoder's description of the first malformed byte.
+pub fn recode_record(stage: Stage, payload: &[u8]) -> Result<Vec<u8>, serde::DeError> {
+    fn recode<T>(payload: &[u8]) -> Result<Vec<u8>, serde::DeError>
+    where
+        T: Serialize + serde::Deserialize,
+    {
+        serde::from_bytes::<T>(payload).map(|v| serde::to_bytes(&v))
+    }
+    match stage {
+        Stage::Func => recode::<FuncPayload>(payload),
+        Stage::Liveness => recode::<LivenessResult>(payload),
+        Stage::Fragment => recode::<FragPayload>(payload),
+        Stage::Emit => recode::<EmitPayload>(payload),
+        Stage::Audit => recode::<icfgp_audit::AuditReport>(payload),
+    }
 }
 
 /// An in-memory emission entry (see [`EmitPayload`]).
@@ -584,25 +656,33 @@ impl RewriteCache {
         self.inner.lock().expect("cache poisoned")
     }
 
-    /// Persisted-store lookup: decode failures quarantine the record
-    /// and count as a miss, never an error.
+    /// Persisted-store lookup: the payload decodes straight into `T`
+    /// (timed as a [`TraceEvent::StoreDecode`] leaf); a decode failure
+    /// quarantines the record and counts as a miss, never an error.
     fn store_get<T: serde::Deserialize>(&self, stage: Stage, key: u64) -> Option<T> {
         let store = self.store.as_ref()?;
         let payload = store.get(stage, key)?;
-        match serde_json::from_slice(&payload) {
+        let started = Instant::now();
+        let decoded = serde::from_bytes(&payload);
+        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.trace.emit(TraceEvent::StoreDecode { stage, ns });
+        match decoded {
             Ok(v) => Some(v),
             Err(e) => {
-                store.quarantine_record(stage, key, &format!("{e:?}"));
+                store.quarantine_record(stage, key, &e.to_string());
                 None
             }
         }
     }
 
-    fn store_put<T: Serialize>(&self, stage: Stage, key: u64, value: &T) {
+    /// Buffer a computed entry for the store. `encode` writes the
+    /// record's payload and runs only when a store is attached, so
+    /// storeless runs never build one.
+    fn store_put(&self, stage: Stage, key: u64, encode: impl FnOnce(&mut Vec<u8>)) {
         if let Some(store) = &self.store {
-            if let Ok(bytes) = serde_json::to_vec(value) {
-                store.put(stage, key, bytes);
-            }
+            let mut bytes = Vec::new();
+            encode(&mut bytes);
+            store.put(stage, key, bytes);
         }
     }
 
@@ -669,11 +749,9 @@ impl RewriteCache {
         }
         let cfg = compute();
         let deps = func_deps(binary, binary_fp, &cfg);
-        self.store_put(
-            Stage::Func,
-            key,
-            &FuncPayload { cfg: cfg.clone(), deps: deps.clone(), origin_fp: binary_fp },
-        );
+        self.store_put(Stage::Func, key, |out| {
+            FuncPayload::encode_parts(&cfg, &deps, binary_fp, out);
+        });
         let entry = FuncEntry { cfg: Arc::new(cfg), deps: Arc::new(deps), origin_fp: binary_fp };
         let mut m = self.lock();
         let got = m.funcs.entry(key).or_insert(entry).clone();
@@ -701,7 +779,7 @@ impl RewriteCache {
             return got;
         }
         let v = Arc::new(compute());
-        self.store_put(Stage::Liveness, key, &*v);
+        self.store_put(Stage::Liveness, key, |out| v.encode(out));
         let got = self
             .lock()
             .liveness
@@ -771,11 +849,9 @@ impl RewriteCache {
             }
         }
         let v = Arc::new(compute()?);
-        self.store_put(
-            Stage::Fragment,
-            key,
-            &FragPayload { frag: (*v).clone(), cfg_fp, origin_fp: binary_fp },
-        );
+        self.store_put(Stage::Fragment, key, |out| {
+            FragPayload::encode_parts(&v, cfg_fp, binary_fp, out);
+        });
         let entry = FragEntry { frag: v, cfg_fp, origin_fp: binary_fp };
         let got = self
             .lock()
@@ -838,11 +914,7 @@ impl RewriteCache {
         }
         let v = Arc::new(compute()?);
         debug_assert!(validate(&v), "freshly computed emission must validate");
-        self.store_put(
-            Stage::Emit,
-            key,
-            &EmitPayload { emit: (*v).clone(), origin_fp: binary_fp },
-        );
+        self.store_put(Stage::Emit, key, |out| EmitPayload::encode_parts(&v, binary_fp, out));
         let entry = EmitEntry { emit: v, origin_fp: binary_fp };
         let got = self
             .lock()
@@ -876,7 +948,7 @@ impl RewriteCache {
             return (got, true);
         }
         let v = Arc::new(compute());
-        self.store_put(Stage::Audit, key, &*v);
+        self.store_put(Stage::Audit, key, |out| v.encode(out));
         let got = self.lock().audits.entry(key).or_insert_with(|| v.clone()).clone();
         self.note(Stage::Audit, key, Lookup::MISS);
         (got, false)

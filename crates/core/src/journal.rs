@@ -222,27 +222,29 @@ impl RunJournal {
                 path.display()
             ));
         }
-        let scan = store::scan_frames(&data[20..], |t| {
+        let body = &data[20..];
+        let scan = store::scan_frames(body, |t| {
             matches!(t, TAG_HEADER | TAG_ROUND | TAG_COMPLETE)
         });
         let mut header = None;
         let mut rounds: Vec<RoundRecord> = Vec::new();
         let mut complete = false;
         let mut damaged = scan.truncated || scan.corrupt > 0;
-        for (tag, _key, payload) in scan.frames {
+        for (tag, _key, range) in scan.frames {
+            let payload = &body[range];
             match tag {
-                TAG_HEADER => match serde_json::from_slice::<JournalHeader>(&payload) {
+                TAG_HEADER => match serde_json::from_slice::<JournalHeader>(payload) {
                     Ok(h) if header.is_none() => header = Some(h),
                     Ok(_) => damaged = true,
                     Err(_) => damaged = true,
                 },
-                TAG_ROUND => match serde_json::from_slice::<RoundRecord>(&payload) {
+                TAG_ROUND => match serde_json::from_slice::<RoundRecord>(payload) {
                     // Rounds must arrive in order; anything else is a
                     // damaged (or foreign) journal.
                     Ok(r) if r.round as usize == rounds.len() + 1 => rounds.push(r),
                     _ => damaged = true,
                 },
-                TAG_COMPLETE => match serde_json::from_slice::<CompleteRecord>(&payload) {
+                TAG_COMPLETE => match serde_json::from_slice::<CompleteRecord>(payload) {
                     Ok(c) if c.rounds as usize == rounds.len() => complete = true,
                     _ => damaged = true,
                 },

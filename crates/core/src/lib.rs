@@ -81,7 +81,7 @@ pub mod tramp;
 
 pub use cache::{
     analyze_incremental, binary_fingerprint, AnalysisRun, RewriteCache, RewriteStats, StageStats,
-    StageTimings,
+    StageTimings, StoreTimings,
 };
 pub use cfl::{cfl_blocks, effective_cfl_blocks, CflReason};
 pub use config::{
@@ -102,8 +102,8 @@ pub use report::{RewriteReport, SkipReason};
 pub use retry::{RetryPolicy, Transience};
 pub use rewriter::{CloneSummary, RewriteArtifacts, RewriteError, RewriteOutcome, Rewriter};
 pub use store::{
-    CacheStore, CompactReport, CorruptKind, Stage, StoreBackend, StoreEvent, StoreEventKind,
-    StoreFaults, StoreStats, StoreVerifyReport,
+    CacheStore, CompactReport, CorruptKind, RecordBytes, Stage, StoreBackend, StoreEvent,
+    StoreEventKind, StoreFaults, StoreStats, StoreVerifyReport,
 };
 pub use trace::{
     JsonlSink, MemorySink, Registry, SpanKind, StoreOp, StoreSrc, TextSink, Trace, TraceEvent,

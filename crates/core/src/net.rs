@@ -47,8 +47,9 @@
 
 use crate::retry::{RetryPolicy, Transience};
 use crate::store::{
-    encode_frame, lock_timeout, scan_frames, CacheStore, FaultRng, Stage, StoreBackend,
-    StoreEvent, StoreEventKind, StoreFaults, StoreStats, FORMAT_VERSION, FRAME_LEN, KEY_EPOCH,
+    encode_frame, lock_timeout, scan_frames, CacheStore, FaultRng, RecordBytes, Stage,
+    StoreBackend, StoreEvent, StoreEventKind, StoreFaults, StoreStats, FORMAT_VERSION, FRAME_LEN,
+    KEY_EPOCH,
 };
 use crate::trace::{StoreOp, StoreSrc, Trace, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -126,7 +127,10 @@ fn read_message(
             "torn or corrupt frame",
         ));
     }
-    Ok(scan.frames.pop().expect("one frame"))
+    let (tag, key, range) = scan.frames.pop().expect("one frame");
+    buf.copy_within(range.clone(), 0);
+    buf.truncate(range.len());
+    Ok((tag, key, buf))
 }
 
 // ----- store URLs --------------------------------------------------------
@@ -605,7 +609,7 @@ impl ServerShared {
                 match self.store.get_queued(stage, key) {
                     Some(p) => {
                         self.c.get_hits.fetch_add(1, Ordering::Relaxed);
-                        Some((RE_HIT, key, p))
+                        Some((RE_HIT, key, p.to_vec()))
                     }
                     None => {
                         self.c.get_misses.fetch_add(1, Ordering::Relaxed);
@@ -1078,7 +1082,7 @@ impl RemoteStore {
         }
     }
 
-    fn local_probe(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
+    fn local_probe(&self, stage: Stage, key: u64) -> Option<RecordBytes> {
         self.local.as_ref().and_then(|s| s.get(stage, key))
     }
 
@@ -1242,7 +1246,7 @@ impl RemoteStore {
 }
 
 impl StoreBackend for RemoteStore {
-    fn get(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
+    fn get(&self, stage: Stage, key: u64) -> Option<RecordBytes> {
         self.emit(StoreOp::Lookup { stage });
         if self.poisoned.lock().expect("poisoned poisoned").contains(&(stage, key)) {
             self.emit(StoreOp::Miss { stage });
@@ -1267,7 +1271,7 @@ impl StoreBackend for RemoteStore {
         let outcome = match self.request(OP_GET, key, &body) {
             Ok((RE_HIT, _, payload)) => {
                 self.emit(StoreOp::RemoteHit);
-                Some(payload)
+                Some(RecordBytes::from(payload))
             }
             Ok((RE_MISS, ..)) => {
                 self.emit(StoreOp::RemoteMiss);

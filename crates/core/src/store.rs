@@ -28,8 +28,16 @@
 //! epoch`) followed by records. Each record is framed as
 //! `tag u8 · key u64 · len u32 · checksum u64 · payload[len]` with the
 //! checksum (FNV-1a/64 + avalanche finaliser) taken over
-//! `tag ‖ key ‖ payload`. Payloads are the serde-JSON encoding of the
-//! cached value.
+//! `tag ‖ key ‖ payload`. Payloads are the cached value in the
+//! vendored serde's positional binary codec (`serde::to_bytes`), which
+//! decodes straight into the typed record. Format version 1 held
+//! serde-JSON payloads; its segments now fail the version check and
+//! are quarantined like any other version skew.
+//!
+//! A load keeps each segment file as one shared buffer and indexes
+//! its records by byte range, so a lookup hands out a
+//! reference-counted [`RecordBytes`] view: nothing is copied, and
+//! the store's lock is held only for the index probe.
 //!
 //! # Failure semantics (all graceful)
 //!
@@ -38,7 +46,7 @@
 //! | bad magic / unknown format version / wrong key epoch | whole segment quarantined |
 //! | per-record checksum mismatch (bit flip) | record quarantined, scan continues |
 //! | truncated segment / short read (torn write) | valid prefix kept, tail quarantined |
-//! | payload fails to deserialise | record quarantined at lookup time |
+//! | payload fails to decode | record quarantined at lookup time |
 //! | lock timeout (concurrent writer) | store opens **read-only**; flushes are deferred |
 //! | any I/O error | logged, store degrades to miss-everything |
 //!
@@ -61,6 +69,7 @@ use crate::trace::{SpanKind, StoreOp, StoreSrc, Trace, TraceEvent};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -68,7 +77,8 @@ use std::time::{Duration, Instant};
 /// Segment file magic.
 const MAGIC: &[u8; 8] = b"ICFGPST\x01";
 /// On-disk format version; a mismatch quarantines the segment.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2: payloads in the binary record codec (version 1 was JSON).
+pub const FORMAT_VERSION: u32 = 2;
 /// Cache-key derivation epoch. Keys come from the standard library's
 /// `DefaultHasher`, which is stable within one Rust release; bump this
 /// when the key derivation in `cache.rs` changes — or when a persisted
@@ -374,6 +384,61 @@ impl FaultRng {
     }
 }
 
+/// One verified record payload: a shared, read-only view into the
+/// buffer it arrived in (a loaded segment, a network frame, or the
+/// encoder's own output). Cloning bumps a reference count; the bytes
+/// are never copied. Backends hand these out from
+/// [`StoreBackend::get`] as opaque bytes — only the cache decodes
+/// them.
+#[derive(Clone)]
+pub struct RecordBytes {
+    buf: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
+
+impl RecordBytes {
+    /// The bytes at `range` of a shared buffer.
+    fn slice(buf: &Arc<Vec<u8>>, range: Range<usize>) -> RecordBytes {
+        RecordBytes { buf: Arc::clone(buf), start: range.start, end: range.end }
+    }
+}
+
+impl From<Vec<u8>> for RecordBytes {
+    fn from(bytes: Vec<u8>) -> RecordBytes {
+        let end = bytes.len();
+        RecordBytes { buf: Arc::new(bytes), start: 0, end }
+    }
+}
+
+impl std::ops::Deref for RecordBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+impl PartialEq for RecordBytes {
+    fn eq(&self, other: &RecordBytes) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for RecordBytes {}
+
+impl PartialEq<Vec<u8>> for RecordBytes {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        **self == other[..]
+    }
+}
+
+impl std::fmt::Debug for RecordBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "RecordBytes({} byte(s))", self.len())
+    }
+}
+
 /// Advisory index sidecar (`INDEX`): accelerates stats and lets
 /// `verify` distinguish stale indexes from modified segments. Never
 /// trusted for record data.
@@ -403,14 +468,14 @@ pub struct SegmentSummary {
 struct Pending {
     stage: Stage,
     key: u64,
-    payload: Vec<u8>,
+    payload: RecordBytes,
 }
 
 #[derive(Default)]
 struct Inner {
-    /// Loaded records: (stage, key) → payload bytes (checksum-verified
-    /// at load; deserialised lazily at lookup).
-    records: HashMap<(Stage, u64), Vec<u8>>,
+    /// Loaded records: (stage, key) → payload view into its segment
+    /// buffer (checksum-verified at load; decoded lazily at lookup).
+    records: HashMap<(Stage, u64), RecordBytes>,
     /// Records computed this process, awaiting flush.
     pending: Vec<Pending>,
     /// Keys already persisted or pending (avoid duplicate appends).
@@ -524,6 +589,8 @@ impl CacheStore {
             writer: false,
             disabled: false,
         };
+        let trace = Arc::clone(&store.trace);
+        let _span = trace.span(SpanKind::StoreOpen);
         if let Err(e) = std::fs::create_dir_all(dir) {
             store.disabled = true;
             store.event(StoreEventKind::IoError, format!("create {}: {e}", dir.display()));
@@ -802,11 +869,12 @@ impl CacheStore {
                 self.quarantine_segment(name);
             }
             SegmentScan::Records { records, corrupt_records, truncated } => {
+                let data = Arc::new(data);
                 let mut inner = self.inner.lock().expect("store poisoned");
                 let n = records.len() as u64;
-                for (stage, key, payload) in records {
+                for (stage, key, range) in records {
                     inner.known.insert((stage, key), ());
-                    inner.records.insert((stage, key), payload);
+                    inner.records.insert((stage, key), RecordBytes::slice(&data, range));
                 }
                 drop(inner);
                 self.emit(StoreOp::Loaded { records: n });
@@ -842,7 +910,9 @@ impl CacheStore {
     // ----- lookup / insert ----------------------------------------------
 
     /// Fetch a verified payload. `None` counts as a persisted miss.
-    pub(crate) fn get(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
+    /// The store lock covers only the index probe and a reference-count
+    /// bump; the payload itself is shared, not copied.
+    pub(crate) fn get(&self, stage: Stage, key: u64) -> Option<RecordBytes> {
         self.emit(StoreOp::Lookup { stage });
         if self.disabled {
             // A disabled store still answered the lookup (with a
@@ -852,20 +922,9 @@ impl CacheStore {
             self.emit(StoreOp::Miss { stage });
             return None;
         }
-        let inner = self.inner.lock().expect("store poisoned");
-        match inner.records.get(&(stage, key)) {
-            Some(payload) => {
-                let p = payload.clone();
-                drop(inner);
-                self.emit(StoreOp::Hit { stage });
-                Some(p)
-            }
-            None => {
-                drop(inner);
-                self.emit(StoreOp::Miss { stage });
-                None
-            }
-        }
+        let found = self.inner.lock().expect("store poisoned").records.get(&(stage, key)).cloned();
+        self.emit(if found.is_some() { StoreOp::Hit { stage } } else { StoreOp::Miss { stage } });
+        found
     }
 
     /// Record a lookup whose payload was present but unusable
@@ -894,7 +953,7 @@ impl CacheStore {
             return;
         }
         inner.known.insert((stage, key), ());
-        inner.pending.push(Pending { stage, key, payload });
+        inner.pending.push(Pending { stage, key, payload: payload.into() });
     }
 
     /// Pending (unflushed) record count.
@@ -907,7 +966,7 @@ impl CacheStore {
     /// but unflushed) queue, so a record one client PUT is visible to
     /// another client before the next segment flush. Counts exactly
     /// like [`CacheStore::get`].
-    pub(crate) fn get_queued(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
+    pub(crate) fn get_queued(&self, stage: Stage, key: u64) -> Option<RecordBytes> {
         self.emit(StoreOp::Lookup { stage });
         if self.disabled {
             self.emit(StoreOp::Miss { stage });
@@ -1118,7 +1177,7 @@ impl Drop for CacheStore {
 /// change output bytes or hang the run.
 pub trait StoreBackend: Send + Sync {
     /// Fetch a verified payload; `None` counts as a persisted miss.
-    fn get(&self, stage: Stage, key: u64) -> Option<Vec<u8>>;
+    fn get(&self, stage: Stage, key: u64) -> Option<RecordBytes>;
     /// Buffer a freshly-computed record for the next [`StoreBackend::flush`].
     fn put(&self, stage: Stage, key: u64, payload: Vec<u8>);
     /// Convert an earlier hit whose payload proved unusable into a
@@ -1160,7 +1219,7 @@ pub trait StoreBackend: Send + Sync {
 }
 
 impl StoreBackend for CacheStore {
-    fn get(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
+    fn get(&self, stage: Stage, key: u64) -> Option<RecordBytes> {
         CacheStore::get(self, stage, key)
     }
 
@@ -1290,8 +1349,9 @@ pub(crate) fn encode_frame(out: &mut Vec<u8>, tag: u8, key: u64, payload: &[u8])
 
 /// Result of [`scan_frames`]: validated frames plus damage counts.
 pub(crate) struct FrameScan {
-    /// `(tag, key, payload)` for every checksum-valid frame, in order.
-    pub frames: Vec<(u8, u64, Vec<u8>)>,
+    /// `(tag, key, payload range)` for every checksum-valid frame, in
+    /// order; ranges index the scanned buffer.
+    pub frames: Vec<(u8, u64, Range<usize>)>,
     /// Frames with intact framing but a failed checksum (skipped).
     pub corrupt: u64,
     /// The tail was dropped: short frame, unknown tag, or implausible
@@ -1325,9 +1385,9 @@ pub(crate) fn scan_frames(data: &[u8], valid_tag: impl Fn(u8) -> bool) -> FrameS
             truncated = true;
             break;
         }
-        let payload = &data[at + FRAME_LEN..at + FRAME_LEN + len as usize];
-        if checksum64(&[&[tag], &key.to_le_bytes(), payload]) == sum {
-            frames.push((tag, key, payload.to_vec()));
+        let range = at + FRAME_LEN..at + FRAME_LEN + len as usize;
+        if checksum64(&[&[tag], &key.to_le_bytes(), &data[range.clone()]]) == sum {
+            frames.push((tag, key, range));
         } else {
             corrupt += 1;
         }
@@ -1339,7 +1399,9 @@ pub(crate) fn scan_frames(data: &[u8], valid_tag: impl Fn(u8) -> bool) -> FrameS
 enum SegmentScan {
     BadHeader(String),
     Records {
-        records: Vec<(Stage, u64, Vec<u8>)>,
+        /// `(stage, key, payload range)`; ranges index the whole
+        /// segment image, header included.
+        records: Vec<(Stage, u64, Range<usize>)>,
         corrupt_records: u64,
         truncated: bool,
     },
@@ -1370,9 +1432,9 @@ fn scan_segment(data: &[u8]) -> SegmentScan {
     let records = scan
         .frames
         .into_iter()
-        .map(|(tag, key, payload)| {
+        .map(|(tag, key, range)| {
             let stage = Stage::from_tag(tag).expect("tag validated by scan_frames");
-            (stage, key, payload)
+            (stage, key, range.start + HEADER_LEN..range.end + HEADER_LEN)
         })
         .collect();
     SegmentScan::Records { records, corrupt_records: scan.corrupt, truncated: scan.truncated }
@@ -1647,8 +1709,8 @@ fn compact_locked(dir: &Path) -> Result<CompactReport, String> {
             SegmentScan::BadHeader(_) => report.bad_segments_dropped += 1,
             SegmentScan::Records { records, corrupt_records, .. } => {
                 report.corrupt_dropped += corrupt_records;
-                for (stage, key, payload) in records {
-                    if live.insert((stage, key), payload).is_some() {
+                for (stage, key, range) in records {
+                    if live.insert((stage, key), data[range].to_vec()).is_some() {
                         report.superseded_dropped += 1;
                     }
                 }

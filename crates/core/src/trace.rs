@@ -33,7 +33,7 @@
 //! ordering and comparison zeroes them; the JSONL sink preserves the
 //! real values in the same deterministic order.
 
-use crate::cache::{slowest_of, RewriteStats, StageStats, StageTimings};
+use crate::cache::{slowest_of, RewriteStats, StageStats, StageTimings, StoreTimings};
 use crate::store::{Stage, StoreStats};
 use serde::{Deserialize, Serialize};
 use std::io::Write;
@@ -100,9 +100,12 @@ pub enum SpanKind {
     Placement,
     /// One store flush.
     StoreFlush,
+    /// Opening a store: taking the writer lock, then reading,
+    /// checksumming and indexing its segments.
+    StoreOpen,
 }
 
-const SPAN_N: usize = 7;
+const SPAN_N: usize = 8;
 
 impl SpanKind {
     fn idx(self) -> usize {
@@ -114,11 +117,21 @@ impl SpanKind {
             SpanKind::Relocate => 4,
             SpanKind::Placement => 5,
             SpanKind::StoreFlush => 6,
+            SpanKind::StoreOpen => 7,
         }
     }
 
     fn name(idx: usize) -> &'static str {
-        ["run", "rewrite", "round", "analysis", "relocate", "placement", "store-flush"][idx]
+        [
+            "run",
+            "rewrite",
+            "round",
+            "analysis",
+            "relocate",
+            "placement",
+            "store-flush",
+            "store-open",
+        ][idx]
     }
 }
 
@@ -213,6 +226,15 @@ pub enum TraceEvent {
         /// Wall-clock duration (zeroed in the canonical form).
         ns: u64,
     },
+    /// Leaf span: decoding one persisted payload on a store hit (the
+    /// hit-path cost that would otherwise hide inside the analysis
+    /// and relocate stages).
+    StoreDecode {
+        /// Pipeline stage of the record.
+        stage: Stage,
+        /// Wall-clock duration (zeroed in the canonical form).
+        ns: u64,
+    },
     /// Leaf span: one remote RPC exchange (including its retries).
     RpcSpan {
         /// Protocol operation name.
@@ -277,6 +299,7 @@ impl TraceEvent {
         match &mut ev {
             TraceEvent::SpanClose { ns, .. }
             | TraceEvent::FuncSpan { ns, .. }
+            | TraceEvent::StoreDecode { ns, .. }
             | TraceEvent::RpcSpan { ns, .. } => *ns = 0,
             _ => {}
         }
@@ -371,6 +394,10 @@ struct RegistryInner {
     span_opens: [u64; SPAN_N],
     func_spans: u64,
     func_span_ns: u64,
+    /// Per stage (in [`Stage::ALL`] order): store-hit payloads decoded
+    /// and the time spent decoding them.
+    decodes: [u64; 5],
+    decode_ns: [u64; 5],
     rpc_spans: u64,
     rpc_ns: u64,
     store: [StoreCtr; 3],
@@ -398,6 +425,10 @@ impl RegistryInner {
                 self.func_spans += 1;
                 self.func_span_ns += ns;
                 self.func_samples.push((*entry, *ns));
+            }
+            TraceEvent::StoreDecode { stage, ns } => {
+                self.decodes[stage_idx(*stage)] += 1;
+                self.decode_ns[stage_idx(*stage)] += ns;
             }
             TraceEvent::RpcSpan { ns, .. } => {
                 self.rpc_spans += 1;
@@ -675,6 +706,10 @@ impl Trace {
             },
             slowest: slowest_of(&now.func_samples[snap.samples_len..]),
             store,
+            store_time: StoreTimings {
+                open_ns: now.span_ns[SpanKind::StoreOpen.idx()],
+                decode_ns: std::array::from_fn(|i| now.decode_ns[i] - snap.inner.decode_ns[i]),
+            },
         }
     }
 
@@ -854,6 +889,9 @@ fn render_text_line(ev: &TraceEvent) -> String {
         TraceEvent::FuncSpan { entry, ns } => {
             format!("func {entry:#x} ({:.3} ms)", *ns as f64 / 1e6)
         }
+        TraceEvent::StoreDecode { stage, ns } => {
+            format!("store decode {} ({:.3} ms)", stage.name(), *ns as f64 / 1e6)
+        }
         TraceEvent::RpcSpan { op, ns } => format!("rpc {op} ({:.3} ms)", *ns as f64 / 1e6),
         TraceEvent::CacheLookup { stage, key, hit, shared } => format!(
             "cache {} {key:#018x}: {}{}",
@@ -989,7 +1027,7 @@ impl TraceSummary {
         out.push_str("spans:\n");
         for (i, ns, n) in &spans {
             out.push_str(&format!(
-                "  {:<12} {:>4} open(s)  {:>10.3} ms\n",
+                "  {:<16} {:>4} open(s)  {:>10.3} ms\n",
                 SpanKind::name(*i),
                 n,
                 *ns as f64 / 1e6
@@ -997,7 +1035,7 @@ impl TraceSummary {
         }
         if r.func_spans > 0 {
             out.push_str(&format!(
-                "  {:<12} {:>4} leaf(s)  {:>10.3} ms\n",
+                "  {:<16} {:>4} leaf(s)  {:>10.3} ms\n",
                 "func",
                 r.func_spans,
                 r.func_span_ns as f64 / 1e6
@@ -1005,11 +1043,24 @@ impl TraceSummary {
         }
         if r.rpc_spans > 0 {
             out.push_str(&format!(
-                "  {:<12} {:>4} leaf(s)  {:>10.3} ms\n",
+                "  {:<16} {:>4} leaf(s)  {:>10.3} ms\n",
                 "rpc",
                 r.rpc_spans,
                 r.rpc_ns as f64 / 1e6
             ));
+        }
+        // Store-hit decode, per stage: leaf time spent inside the
+        // analysis and relocate spans that is store cost, not compute.
+        for stage in Stage::ALL {
+            let i = stage_idx(stage);
+            if r.decodes[i] > 0 {
+                out.push_str(&format!(
+                    "  {:<16} {:>4} leaf(s)  {:>10.3} ms\n",
+                    format!("decode-{}", stage.name()),
+                    r.decodes[i],
+                    r.decode_ns[i] as f64 / 1e6
+                ));
+            }
         }
 
         // Stage histogram.
@@ -1102,6 +1153,10 @@ pub fn render_diff(a: &TraceSummary, b: &TraceSummary) -> String {
         row(&format!("cache.{}.misses", stage.name()), sa.misses, sb.misses);
         row(&format!("cache.{}.shared", stage.name()), sa.shared, sb.shared);
     }
+    for stage in Stage::ALL {
+        let i = stage_idx(stage);
+        row(&format!("store.decode.{}", stage.name()), a.inner.decodes[i], b.inner.decodes[i]);
+    }
     row("analysis.memo_hits", a.inner.memo_hits, b.inner.memo_hits);
     row("analysis.memo_misses", a.inner.memo_misses, b.inner.memo_misses);
     row("analysis.rounds", a.inner.rounds, b.inner.rounds);
@@ -1186,8 +1241,25 @@ pub fn render_stats_text(round_stats: &[RewriteStats]) -> String {
         }
         let st = &s.store;
         if st.lookups > 0 || st.flushes > 0 {
+            // The store opens once, before the first round.
+            let open = if i == 0 {
+                format!(", open {:.3} ms", s.store_time.open_ns as f64 / 1e6)
+            } else {
+                String::new()
+            };
+            let decode: Vec<String> = Stage::ALL
+                .iter()
+                .zip(s.store_time.decode_ns)
+                .filter(|(_, ns)| *ns > 0)
+                .map(|(stage, ns)| format!("{} {:.3}", stage.name(), ns as f64 / 1e6))
+                .collect();
+            let decode = if decode.is_empty() {
+                String::new()
+            } else {
+                format!(", decode {} ms", decode.join(" / "))
+            };
             out.push_str(&format!(
-                "  persisted: {}/{} store hits, {} flushed, {} quarantined\n",
+                "  persisted: {}/{} store hits, {} flushed, {} quarantined{open}{decode}\n",
                 st.hits,
                 st.lookups,
                 st.flushed_records,

@@ -229,7 +229,15 @@ fn open_cache(args: &[String]) -> RewriteCache {
     }
     match cache_dir(args) {
         Some(dir) => {
-            let store = Arc::new(CacheStore::open(&dir));
+            // Record from before the open, so a `--trace` stream shows
+            // the store-open span and the segments it loaded.
+            let spine = if trace_path(args).is_some() { Trace::recording() } else { Trace::new() };
+            let store = Arc::new(CacheStore::open_traced(
+                &dir,
+                store::lock_timeout(),
+                spine,
+                StoreSrc::Local,
+            ));
             for e in store.events() {
                 eprintln!("cache-store: {e}");
             }

@@ -2,13 +2,22 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn icfgp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_icfgp"))
 }
 
+/// A scratch path unique to this call. Tests run in parallel threads
+/// of one process, so the path is keyed by the calling test's name and
+/// a process-wide counter, not just the process id: otherwise one
+/// test's cleanup deletes another's input.
 fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("icfgp-test-{}-{name}", std::process::id()))
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let thread = std::thread::current();
+    let test = thread.name().unwrap_or("main").replace("::", "-");
+    std::env::temp_dir().join(format!("icfgp-test-{}-{test}-{n}-{name}", std::process::id()))
 }
 
 #[test]
