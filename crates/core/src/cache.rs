@@ -69,8 +69,8 @@
 use crate::pool;
 use crate::relocate::{FuncFragment, RelocEmit};
 use crate::rewriter::RewriteError;
-use crate::store::{Stage, StoreBackend, StoreStats};
-use crate::trace::{StoreSrc, Trace, TraceEvent};
+use crate::store::{CacheStore, Stage, StoreStats};
+use crate::trace::{Trace, TraceEvent};
 use icfgp_cfg::{
     analyze_function_isolated, assemble_analysis, prepass_boundaries, AnalysisConfig,
     BinaryAnalysis, FuncCfg, FuncStatus, LivenessResult,
@@ -523,7 +523,7 @@ struct Maps {
 /// registry (and one [`RewriteStats`] projection).
 pub struct RewriteCache {
     inner: Mutex<Maps>,
-    store: Option<Arc<dyn StoreBackend>>,
+    store: Option<Arc<CacheStore>>,
     trace: Arc<Trace>,
     /// Chaos: corrupt fragment/emit records read back from the store
     /// (armed by [`crate::FaultPlan::arm_cached`]).
@@ -564,19 +564,10 @@ impl RewriteCache {
 
     /// An empty in-memory cache backed by a persistent store: lookups
     /// fall through to the store, computed entries are buffered for
-    /// its next [`StoreBackend::flush`]. Takes any backend — the
-    /// local [`CacheStore`](crate::store::CacheStore) or a
-    /// [`RemoteStore`](crate::net::RemoteStore).
+    /// its next [`CacheStore::flush`]. The store's trace spine is
+    /// adopted as the cache's, so both layers fold into one registry.
     #[must_use]
-    pub fn with_store<S: StoreBackend + 'static>(store: Arc<S>) -> RewriteCache {
-        RewriteCache::with_backend(store)
-    }
-
-    /// [`RewriteCache::with_store`] over an already-erased backend.
-    /// The backend's trace spine is adopted as the cache's, so both
-    /// layers fold into one registry.
-    #[must_use]
-    pub fn with_backend(store: Arc<dyn StoreBackend>) -> RewriteCache {
+    pub fn with_store(store: Arc<CacheStore>) -> RewriteCache {
         RewriteCache {
             inner: Mutex::new(Maps::default()),
             trace: store.trace(),
@@ -597,13 +588,6 @@ impl RewriteCache {
     #[must_use]
     pub fn trace(&self) -> Arc<Trace> {
         Arc::clone(&self.trace)
-    }
-
-    /// Which registry source slot the attached store reports under
-    /// (`None` without a store).
-    #[must_use]
-    pub fn store_src(&self) -> Option<StoreSrc> {
-        self.store.as_ref().map(|s| s.trace_src())
     }
 
     fn note(&self, stage: Stage, key: u64, lk: Lookup) {
@@ -634,9 +618,9 @@ impl RewriteCache {
             .is_some_and(|f| f.fires(key))
     }
 
-    /// The attached persistent store backend, if any.
+    /// The attached persistent store, if any.
     #[must_use]
-    pub fn store(&self) -> Option<&Arc<dyn StoreBackend>> {
+    pub fn store(&self) -> Option<&Arc<CacheStore>> {
         self.store.as_ref()
     }
 

@@ -91,36 +91,6 @@ pub struct FaultPlan {
     /// mis-fix-up a span — output bytes never change.
     #[serde(default)]
     pub corrupt_patch_point: f64,
-    /// Probability a remote-store exchange is delayed
-    /// [`FaultPlan::net_delay_ms`] before sending. Net faults damage
-    /// only the transport — the client's retry/hedge/degrade ladder
-    /// absorbs them, so output bytes never change and runs stay
-    /// bounded.
-    #[serde(default)]
-    pub net_delay: f64,
-    /// Injected network delay length in milliseconds.
-    #[serde(default)]
-    pub net_delay_ms: u64,
-    /// Probability a remote-store connection drops before the request
-    /// is sent.
-    #[serde(default)]
-    pub net_drop: f64,
-    /// Probability a remote-store response arrives torn (truncated
-    /// mid-frame).
-    #[serde(default)]
-    pub net_torn_response: f64,
-    /// Probability a remote-store response fails its frame checksum (a
-    /// lying server; caught by validation).
-    #[serde(default)]
-    pub net_bit_flip_reply: f64,
-    /// Probability a `PUT`/`RENEW` reply is replaced by a lease-expiry
-    /// rejection.
-    #[serde(default)]
-    pub net_lease_expire: f64,
-    /// Probability the server dies mid-`PUT` (reply dropped; later
-    /// connections refused when the campaign wires the kill flag).
-    #[serde(default)]
-    pub net_kill_mid_put: f64,
 }
 
 impl FaultPlan {
@@ -144,13 +114,6 @@ impl FaultPlan {
             store_short_read: 0.0,
             store_lock_contention: 0.0,
             corrupt_patch_point: 0.0,
-            net_delay: 0.0,
-            net_delay_ms: 0,
-            net_drop: 0.0,
-            net_torn_response: 0.0,
-            net_bit_flip_reply: 0.0,
-            net_lease_expire: 0.0,
-            net_kill_mid_put: 0.0,
         }
     }
 
@@ -167,11 +130,6 @@ impl FaultPlan {
             store_bit_flip: 0.05,
             store_short_read: 0.05,
             corrupt_patch_point: 0.05,
-            net_delay: 0.05,
-            net_delay_ms: 5,
-            net_drop: 0.05,
-            net_torn_response: 0.05,
-            net_bit_flip_reply: 0.05,
             ..FaultPlan::none(seed)
         }
     }
@@ -194,12 +152,6 @@ impl FaultPlan {
             store_short_read: 0.10,
             store_lock_contention: 0.10,
             corrupt_patch_point: 0.10,
-            net_delay: 0.10,
-            net_delay_ms: 10,
-            net_drop: 0.10,
-            net_torn_response: 0.10,
-            net_bit_flip_reply: 0.10,
-            net_lease_expire: 0.10,
             ..FaultPlan::none(seed)
         }
     }
@@ -225,13 +177,6 @@ impl FaultPlan {
             store_short_read: 0.25,
             store_lock_contention: 0.25,
             corrupt_patch_point: 0.30,
-            net_delay: 0.20,
-            net_delay_ms: 20,
-            net_drop: 0.25,
-            net_torn_response: 0.20,
-            net_bit_flip_reply: 0.15,
-            net_lease_expire: 0.20,
-            net_kill_mid_put: 0.02,
             ..FaultPlan::none(seed)
         }
     }
@@ -258,24 +203,6 @@ impl FaultPlan {
             bit_flip: self.store_bit_flip,
             short_read: self.store_short_read,
             lock_contention: self.store_lock_contention,
-        }
-    }
-
-    /// The network fault classes of this plan, in the form the
-    /// remote-store transport
-    /// ([`FaultyTransport`](crate::net::FaultyTransport)) takes.
-    #[must_use]
-    pub fn net_faults(&self) -> crate::net::NetFaults {
-        crate::net::NetFaults {
-            seed: self.seed,
-            delay: self.net_delay,
-            delay_ms: self.net_delay_ms,
-            drop: self.net_drop,
-            torn_response: self.net_torn_response,
-            bit_flip_reply: self.net_bit_flip_reply,
-            lease_expire: self.net_lease_expire,
-            lease_expire_at: 0,
-            kill_mid_put: self.net_kill_mid_put,
         }
     }
 
@@ -358,7 +285,6 @@ impl FaultPlan {
         }
         if let Some(store) = cache.store() {
             store.arm_faults(self.store_faults());
-            store.arm_net_faults(self.net_faults());
         }
         if self.corrupt_patch_point > 0.0 {
             cache.arm_patch_corruption(self.seed, self.corrupt_patch_point);

@@ -68,7 +68,6 @@ mod fault;
 pub mod gate;
 mod instrument;
 pub mod journal;
-pub mod net;
 mod placement;
 pub mod pool;
 mod relocate;
@@ -90,10 +89,6 @@ pub use config::{
 };
 pub use fault::FaultPlan;
 pub use journal::{config_fingerprint, JournalReplay, RunJournal};
-pub use net::{
-    parse_store_url, serve, FaultyTransport, NetFaults, RemoteOptions, RemoteStore, ServeHandle,
-    ServeOptions, ServerStats, StoreUrl, TcpTransport, Transport,
-};
 pub use gate::{apply_audit_gate, audit_mode_of, reach_check_of, GateSummary};
 pub use instrument::{Instrumentation, Payload, Points};
 pub use placement::{Patch, PlacedTrampoline, PlacementPlan, ScratchPool, TrampolineKind};
@@ -102,11 +97,11 @@ pub use report::{RewriteReport, SkipReason};
 pub use retry::{RetryPolicy, Transience};
 pub use rewriter::{CloneSummary, RewriteArtifacts, RewriteError, RewriteOutcome, Rewriter};
 pub use store::{
-    CacheStore, CompactReport, CorruptKind, RecordBytes, Stage, StoreBackend, StoreEvent,
+    CacheStore, CompactReport, CorruptKind, RecordBytes, Stage, StoreEvent,
     StoreEventKind, StoreFaults, StoreStats, StoreVerifyReport,
 };
 pub use trace::{
-    JsonlSink, MemorySink, Registry, SpanKind, StoreOp, StoreSrc, TextSink, Trace, TraceEvent,
+    JsonlSink, MemorySink, Registry, SpanKind, StoreOp, TextSink, Trace, TraceEvent,
     TraceSink, TraceSummary,
 };
 pub use tramp::trampoline_table;

@@ -607,7 +607,7 @@ impl Rewriter {
             None
         };
         rewrite_span.close();
-        let stats = trace.rewrite_stats_since(&snap, self.threads, cache.store_src());
+        let stats = trace.rewrite_stats_since(&snap, self.threads, cache.store().is_some());
         Ok(RewriteOutcome {
             binary: out,
             report,

@@ -65,7 +65,7 @@
 //! reader racing a writer sees either the old or the new segment set,
 //! both self-validating.
 
-use crate::trace::{SpanKind, StoreOp, StoreSrc, Trace, TraceEvent};
+use crate::trace::{SpanKind, StoreOp, Trace, TraceEvent};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -93,9 +93,9 @@ pub const FORMAT_VERSION: u32 = 2;
 /// hitting or mass-failing decode.
 pub const KEY_EPOCH: u64 = 5;
 /// Segment header length: magic + version + epoch.
-pub(crate) const HEADER_LEN: usize = 8 + 4 + 8;
+const HEADER_LEN: usize = 8 + 4 + 8;
 /// Per-record frame length before the payload: tag + key + len + checksum.
-pub(crate) const FRAME_LEN: usize = 1 + 8 + 4 + 8;
+const FRAME_LEN: usize = 1 + 8 + 4 + 8;
 /// Upper bound on a single record payload (corrupt length fields must
 /// not cause huge allocations).
 const MAX_PAYLOAD: u32 = 256 << 20;
@@ -228,8 +228,8 @@ impl std::fmt::Display for StoreEvent {
 /// exactly one place, [`Registry::check`](crate::trace::Registry::check).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
-    /// Backend lookups started (every `get` entry path, including
-    /// lookups served while the store is disabled or degraded).
+    /// Store lookups started (every `get` entry path, including
+    /// lookups served while the store is disabled).
     #[serde(default)]
     pub lookups: u64,
     /// Lookups served from the persisted store.
@@ -261,29 +261,9 @@ pub struct StoreStats {
     /// Writer-lock acquisition timeouts.
     pub lock_timeouts: u64,
     /// Transient-failure retries run by the backoff policy (contended
-    /// flushes re-attempted, short reads re-read, remote requests
-    /// re-sent).
+    /// flushes re-attempted, short reads re-read).
     #[serde(default)]
     pub retries: u64,
-    /// Lookups a remote backend answered with a hit over the wire.
-    /// Always a subset of `hits`; zero on local backends.
-    #[serde(default)]
-    pub remote_hits: u64,
-    /// Lookups the remote server answered with a definite miss (the
-    /// request round-tripped; the server had no record). A lookup the
-    /// *transport* failed on is not a remote miss — it hedges to the
-    /// local overflow store and counts only under `hits`/`misses`.
-    #[serde(default)]
-    pub remote_misses: u64,
-    /// Circuit-breaker trips: the remote client exhausted its
-    /// consecutive-transient-failure budget and degraded to
-    /// fully-local operation for the rest of the run.
-    #[serde(default)]
-    pub breaker_trips: u64,
-    /// Lookups served while degraded to fully-local operation (after a
-    /// breaker trip). Zero on local backends and on healthy remotes.
-    #[serde(default)]
-    pub degraded: u64,
 }
 
 impl StoreStats {
@@ -304,10 +284,6 @@ impl StoreStats {
             io_errors: self.io_errors - earlier.io_errors,
             lock_timeouts: self.lock_timeouts - earlier.lock_timeouts,
             retries: self.retries - earlier.retries,
-            remote_hits: self.remote_hits - earlier.remote_hits,
-            remote_misses: self.remote_misses - earlier.remote_misses,
-            breaker_trips: self.breaker_trips - earlier.breaker_trips,
-            degraded: self.degraded - earlier.degraded,
         }
     }
 
@@ -358,12 +334,11 @@ impl StoreFaults {
 }
 
 /// A deliberately simple seeded PRNG for the fault hooks (splitmix64);
-/// the store must not depend on `rand`'s sampling details. Shared with
-/// the network-fault transport in `net.rs`.
-pub(crate) struct FaultRng(pub(crate) u64);
+/// the store must not depend on `rand`'s sampling details.
+struct FaultRng(u64);
 
 impl FaultRng {
-    pub(crate) fn next(&mut self) -> u64 {
+    fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -371,11 +346,11 @@ impl FaultRng {
         z ^ (z >> 31)
     }
 
-    pub(crate) fn chance(&mut self, p: f64) -> bool {
+    fn chance(&mut self, p: f64) -> bool {
         p > 0.0 && (self.next() % 10_000) < (p * 10_000.0) as u64
     }
 
-    pub(crate) fn below(&mut self, n: u64) -> u64 {
+    fn below(&mut self, n: u64) -> u64 {
         if n == 0 {
             0
         } else {
@@ -385,11 +360,10 @@ impl FaultRng {
 }
 
 /// One verified record payload: a shared, read-only view into the
-/// buffer it arrived in (a loaded segment, a network frame, or the
-/// encoder's own output). Cloning bumps a reference count; the bytes
-/// are never copied. Backends hand these out from
-/// [`StoreBackend::get`] as opaque bytes — only the cache decodes
-/// them.
+/// buffer it arrived in (a loaded segment or the encoder's own
+/// output). Cloning bumps a reference count; the bytes are never
+/// copied. The store hands these out as opaque bytes — only the cache
+/// decodes them.
 #[derive(Clone)]
 pub struct RecordBytes {
     buf: Arc<Vec<u8>>,
@@ -483,7 +457,6 @@ struct Inner {
     events: Vec<StoreEvent>,
     events_dropped: u64,
     faults: Option<(StoreFaults, FaultRng)>,
-    retry: crate::retry::RetryPolicy,
 }
 
 /// Outcome of one flush attempt: finished (possibly with nothing to
@@ -497,12 +470,11 @@ enum FlushOnce {
 /// directory and attach it with
 /// [`RewriteCache::with_store`](crate::RewriteCache::with_store).
 /// All counting goes through the unified [`Trace`] spine; `stats()` is
-/// the registry's [`StoreSrc`]-scoped projection.
+/// the registry's store projection.
 pub struct CacheStore {
     dir: PathBuf,
     inner: Mutex<Inner>,
     trace: Arc<Trace>,
-    src: StoreSrc,
     /// Writer role: the advisory lock was acquired at open.
     writer: bool,
     /// Hard-disabled after an unrecoverable I/O error at open.
@@ -567,25 +539,17 @@ impl CacheStore {
     /// [`CacheStore::open`] with an explicit lock timeout (tests).
     #[must_use]
     pub fn open_with_timeout(dir: &Path, lock_wait: Duration) -> CacheStore {
-        CacheStore::open_traced(dir, lock_wait, Trace::new(), StoreSrc::Local)
+        CacheStore::open_traced(dir, lock_wait, Trace::new())
     }
 
-    /// Open the store onto an existing trace spine, attributing its
-    /// events to `src`. This is how a [`RemoteStore`](crate::net::RemoteStore)
-    /// shares one registry with its local hedge store while keeping
-    /// the two backends' [`StoreStats`] separate.
+    /// Open the store onto an existing trace spine (a `--trace` run's
+    /// recording spine, or a chaos campaign's shared collector).
     #[must_use]
-    pub fn open_traced(
-        dir: &Path,
-        lock_wait: Duration,
-        trace: Arc<Trace>,
-        src: StoreSrc,
-    ) -> CacheStore {
+    pub fn open_traced(dir: &Path, lock_wait: Duration, trace: Arc<Trace>) -> CacheStore {
         let mut store = CacheStore {
             dir: dir.to_path_buf(),
             inner: Mutex::new(Inner::default()),
             trace,
-            src,
             writer: false,
             disabled: false,
         };
@@ -608,9 +572,9 @@ impl CacheStore {
                 );
             }
         }
-        let loaded_before = store.trace.registry().store_stats(store.src).records_loaded;
+        let loaded_before = store.trace.registry().store_stats().records_loaded;
         store.load_all();
-        let loaded = store.trace.registry().store_stats(store.src).records_loaded - loaded_before;
+        let loaded = store.trace.registry().store_stats().records_loaded - loaded_before;
         store.event(
             StoreEventKind::Opened,
             format!(
@@ -628,10 +592,9 @@ impl CacheStore {
         Arc::clone(&self.trace)
     }
 
-    /// Emit one store operation onto the trace, tagged with this
-    /// store's source.
+    /// Emit one store operation onto the trace.
     fn emit(&self, op: StoreOp) {
-        self.trace.emit(TraceEvent::Store { src: self.src, op });
+        self.trace.emit(TraceEvent::Store { op });
     }
 
     /// The store directory.
@@ -646,24 +609,10 @@ impl CacheStore {
         self.writer
     }
 
-    /// Counter snapshot — the registry projection for this store's
-    /// source.
+    /// Counter snapshot — the registry's store projection.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        self.trace.registry().store_stats(self.src)
-    }
-
-    /// Replace the transient-failure retry policy (default: the
-    /// [`RetryPolicy`](crate::retry::RetryPolicy) default, three
-    /// attempts with jittered backoff).
-    /// Chaos campaigns re-seed it from the fault-plan seed so delay
-    /// schedules replay exactly.
-    pub fn set_retry_policy(&self, policy: crate::retry::RetryPolicy) {
-        self.inner.lock().expect("store poisoned").retry = policy;
-    }
-
-    fn retry_policy(&self) -> crate::retry::RetryPolicy {
-        self.inner.lock().expect("store poisoned").retry
+        self.trace.registry().store_stats()
     }
 
     /// Structured events so far (bounded; overflow is dropped oldest).
@@ -811,7 +760,7 @@ impl CacheStore {
         let path = self.dir.join(name);
         // Short reads are transient: re-read up to the retry budget
         // before accepting a torn view of the segment.
-        let policy = self.retry_policy();
+        let policy = crate::retry::RetryPolicy::default();
         let attempts = policy.max_attempts.max(1);
         let mut attempt = 0;
         let data = loop {
@@ -962,37 +911,6 @@ impl CacheStore {
         self.inner.lock().expect("store poisoned").pending.len()
     }
 
-    /// Server-side lookup: loaded records *or* the pending (accepted
-    /// but unflushed) queue, so a record one client PUT is visible to
-    /// another client before the next segment flush. Counts exactly
-    /// like [`CacheStore::get`].
-    pub(crate) fn get_queued(&self, stage: Stage, key: u64) -> Option<RecordBytes> {
-        self.emit(StoreOp::Lookup { stage });
-        if self.disabled {
-            self.emit(StoreOp::Miss { stage });
-            return None;
-        }
-        let inner = self.inner.lock().expect("store poisoned");
-        let found = inner.records.get(&(stage, key)).cloned().or_else(|| {
-            inner
-                .pending
-                .iter()
-                .find(|p| p.stage == stage && p.key == key)
-                .map(|p| p.payload.clone())
-        });
-        drop(inner);
-        match found {
-            Some(p) => {
-                self.emit(StoreOp::Hit { stage });
-                Some(p)
-            }
-            None => {
-                self.emit(StoreOp::Miss { stage });
-                None
-            }
-        }
-    }
-
     // ----- flush ---------------------------------------------------------
 
     /// Write every pending record into a fresh segment (temp file +
@@ -1013,7 +931,7 @@ impl CacheStore {
             return 0;
         }
         let span = self.trace.span(SpanKind::StoreFlush);
-        let policy = self.retry_policy();
+        let policy = crate::retry::RetryPolicy::default();
         let attempts = policy.max_attempts.max(1);
         let mut flushed = 0;
         for attempt in 0..attempts {
@@ -1164,111 +1082,6 @@ impl Drop for CacheStore {
             self.flush();
         }
         self.release_lock();
-    }
-}
-
-/// Abstraction over cache-store backends: the local segment-directory
-/// store ([`CacheStore`]) and the remote TCP client
-/// ([`RemoteStore`](crate::net::RemoteStore)).
-/// [`RewriteCache`](crate::RewriteCache) talks to its store only
-/// through this trait, so every backend inherits the same hard
-/// invariant: store damage of any kind — disk corruption, a dead or
-/// lying server, a lost lease — may only ever cost a recompute, never
-/// change output bytes or hang the run.
-pub trait StoreBackend: Send + Sync {
-    /// Fetch a verified payload; `None` counts as a persisted miss.
-    fn get(&self, stage: Stage, key: u64) -> Option<RecordBytes>;
-    /// Buffer a freshly-computed record for the next [`StoreBackend::flush`].
-    fn put(&self, stage: Stage, key: u64, payload: Vec<u8>);
-    /// Convert an earlier hit whose payload proved unusable into a
-    /// quarantine (see [`CacheStore::quarantine_record`] for the
-    /// hit/miss/quarantine disjointness contract).
-    fn quarantine_record(&self, stage: Stage, key: u64, why: &str);
-    /// Persist pending records; returns how many were persisted this
-    /// call. Deferrals (lock contention, lost lease, dead server)
-    /// return 0 with the records kept pending.
-    fn flush(&self) -> usize;
-    /// Counter snapshot.
-    fn stats(&self) -> StoreStats;
-    /// Structured events so far (bounded; overflow dropped oldest).
-    fn events(&self) -> Vec<StoreEvent>;
-    /// Pending (unflushed) record count.
-    fn pending_len(&self) -> usize;
-    /// Per-stage count of locally loaded (usable) records.
-    fn entry_counts(&self) -> Vec<(Stage, usize)>;
-    /// Where the records live, for logs: a directory path or a URL.
-    fn describe(&self) -> String;
-    /// Arm deterministic I/O fault injection (chaos campaigns).
-    fn arm_faults(&self, faults: StoreFaults);
-    /// Arm deterministic network fault injection; no-op on backends
-    /// without a network leg.
-    fn arm_net_faults(&self, faults: crate::net::NetFaults) {
-        let _ = faults;
-    }
-    /// Replace the transient-failure retry policy.
-    fn set_retry_policy(&self, policy: crate::retry::RetryPolicy);
-    /// The trace spine this backend emits through.
-    /// [`RewriteCache::with_backend`](crate::RewriteCache::with_backend)
-    /// adopts it, so cache-level and store-level events share one
-    /// registry.
-    fn trace(&self) -> Arc<Trace>;
-    /// Which [`StoreSrc`] slot this backend's events land in.
-    fn trace_src(&self) -> StoreSrc {
-        StoreSrc::Local
-    }
-}
-
-impl StoreBackend for CacheStore {
-    fn get(&self, stage: Stage, key: u64) -> Option<RecordBytes> {
-        CacheStore::get(self, stage, key)
-    }
-
-    fn put(&self, stage: Stage, key: u64, payload: Vec<u8>) {
-        CacheStore::put(self, stage, key, payload);
-    }
-
-    fn quarantine_record(&self, stage: Stage, key: u64, why: &str) {
-        CacheStore::quarantine_record(self, stage, key, why);
-    }
-
-    fn flush(&self) -> usize {
-        CacheStore::flush(self)
-    }
-
-    fn stats(&self) -> StoreStats {
-        CacheStore::stats(self)
-    }
-
-    fn events(&self) -> Vec<StoreEvent> {
-        CacheStore::events(self)
-    }
-
-    fn pending_len(&self) -> usize {
-        CacheStore::pending_len(self)
-    }
-
-    fn entry_counts(&self) -> Vec<(Stage, usize)> {
-        CacheStore::entry_counts(self)
-    }
-
-    fn describe(&self) -> String {
-        self.dir.display().to_string()
-    }
-
-    fn arm_faults(&self, faults: StoreFaults) {
-        CacheStore::arm_faults(self, faults);
-    }
-
-    fn set_retry_policy(&self, policy: crate::retry::RetryPolicy) {
-        CacheStore::set_retry_policy(self, policy);
-    }
-
-    fn trace(&self) -> Arc<Trace> {
-        CacheStore::trace(self)
-    }
-
-    fn trace_src(&self) -> StoreSrc {
-        self.src
     }
 }
 

@@ -5,9 +5,9 @@
 //! counter sections, `bench-rewrite` stage timings — is a *projection*
 //! of one stream of typed [`TraceEvent`]s collected by a shared
 //! [`Trace`]. Subsystems emit events (cache hit/miss/quarantine,
-//! store flush, retry, breaker trip, lease fence, ladder demotion,
-//! journal append) and open structural [`SpanKind`] spans (run, round,
-//! rewrite, pipeline stage, store flush); the [`Registry`] folds the
+//! store flush, retry, ladder demotion, journal append) and open
+//! structural [`SpanKind`] spans (run, round, rewrite, pipeline stage,
+//! store flush); the [`Registry`] folds the
 //! stream into counters as it arrives and derives every legacy stats
 //! shape on demand, so the conservation laws between counters are
 //! checked in exactly one place ([`Registry::check`]).
@@ -23,7 +23,7 @@
 //! `ICFGP_THREADS` values. Structural span open/close markers are
 //! emitted only from the orchestrating thread, so they are already
 //! deterministic; worker threads emit only *leaf* records (cache
-//! lookups, store operations, per-function and per-RPC timed spans),
+//! lookups, store operations, per-function timed spans),
 //! whose multiset between two consecutive markers is fixed by the
 //! cache state, not by scheduling. Sealing the stream sorts each
 //! marker-delimited segment by the record's canonical (timing-free)
@@ -40,45 +40,9 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Which backend a store event came from. Each backend owns one
-/// source slot in the registry, so a remote client and its local
-/// hedge store never pollute each other's [`StoreStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
-pub enum StoreSrc {
-    /// A directory-backed [`CacheStore`](crate::store::CacheStore).
-    Local,
-    /// A [`RemoteStore`](crate::net::RemoteStore) TCP client.
-    Remote,
-    /// The remote client's local hedge/overflow store.
-    Hedge,
-}
-
-impl StoreSrc {
-    const ALL: [StoreSrc; 3] = [StoreSrc::Local, StoreSrc::Remote, StoreSrc::Hedge];
-
-    fn idx(self) -> usize {
-        match self {
-            StoreSrc::Local => 0,
-            StoreSrc::Remote => 1,
-            StoreSrc::Hedge => 2,
-        }
-    }
-
-    /// Human name, for conservation messages and summaries.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreSrc::Local => "local",
-            StoreSrc::Remote => "remote",
-            StoreSrc::Hedge => "hedge",
-        }
-    }
-}
-
 /// A structural span: opened and closed on the orchestrating thread
 /// only (worker-side work is recorded as leaf events —
-/// [`TraceEvent::FuncSpan`], [`TraceEvent::RpcSpan`] — which carry
+/// [`TraceEvent::FuncSpan`], [`TraceEvent::StoreDecode`] — which carry
 /// their own duration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case", tag = "span")]
@@ -136,11 +100,11 @@ impl SpanKind {
 }
 
 /// One store-level operation, always wrapped in
-/// [`TraceEvent::Store`] with its source.
+/// [`TraceEvent::Store`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case", tag = "op")]
 pub enum StoreOp {
-    /// A backend lookup started (every `get` entry path).
+    /// A store lookup started (every `get` entry path).
     Lookup {
         /// Pipeline stage of the key.
         stage: Stage,
@@ -183,21 +147,8 @@ pub enum StoreOp {
     Retry,
     /// An I/O error was absorbed.
     IoError,
-    /// Writer lock/lease acquisition timed out or deferred.
+    /// Writer lock acquisition timed out or deferred.
     LockTimeout,
-    /// A remote server answered a lookup with a hit over the wire.
-    RemoteHit,
-    /// A remote server answered with a definite miss.
-    RemoteMiss,
-    /// The remote circuit breaker tripped.
-    BreakerTrip,
-    /// A lookup was served while degraded to fully-local operation.
-    Degraded,
-    /// A writer lease was granted or renewed under `fence`.
-    LeaseFence {
-        /// The epoch fence of the lease.
-        fence: u64,
-    },
 }
 
 /// One record of the unified trace stream.
@@ -232,13 +183,6 @@ pub enum TraceEvent {
     StoreDecode {
         /// Pipeline stage of the record.
         stage: Stage,
-        /// Wall-clock duration (zeroed in the canonical form).
-        ns: u64,
-    },
-    /// Leaf span: one remote RPC exchange (including its retries).
-    RpcSpan {
-        /// Protocol operation name.
-        op: String,
         /// Wall-clock duration (zeroed in the canonical form).
         ns: u64,
     },
@@ -278,8 +222,6 @@ pub enum TraceEvent {
     },
     /// A persistent-store operation.
     Store {
-        /// Which backend emitted it.
-        src: StoreSrc,
         /// The operation.
         #[serde(flatten)]
         op: StoreOp,
@@ -299,8 +241,7 @@ impl TraceEvent {
         match &mut ev {
             TraceEvent::SpanClose { ns, .. }
             | TraceEvent::FuncSpan { ns, .. }
-            | TraceEvent::StoreDecode { ns, .. }
-            | TraceEvent::RpcSpan { ns, .. } => *ns = 0,
+            | TraceEvent::StoreDecode { ns, .. } => *ns = 0,
             _ => {}
         }
         ev
@@ -333,7 +274,7 @@ struct StageCtr {
     shared: u64,
 }
 
-/// Per-source store counters. `hits` is the *raw* hit count; the
+/// Store counters. `hits` is the *raw* hit count; the
 /// [`StoreStats`] projection re-classifies lookup-time quarantines
 /// out of it, so folding never has to decrement (making the fold
 /// order-independent and replayable from a sealed stream).
@@ -352,10 +293,6 @@ struct StoreCtr {
     io_errors: u64,
     lock_timeouts: u64,
     retries: u64,
-    remote_hits: u64,
-    remote_misses: u64,
-    breaker_trips: u64,
-    degraded: u64,
 }
 
 impl StoreCtr {
@@ -374,10 +311,6 @@ impl StoreCtr {
             io_errors: self.io_errors,
             lock_timeouts: self.lock_timeouts,
             retries: self.retries,
-            remote_hits: self.remote_hits,
-            remote_misses: self.remote_misses,
-            breaker_trips: self.breaker_trips,
-            degraded: self.degraded,
         }
     }
 }
@@ -398,12 +331,9 @@ struct RegistryInner {
     /// and the time spent decoding them.
     decodes: [u64; 5],
     decode_ns: [u64; 5],
-    rpc_spans: u64,
-    rpc_ns: u64,
-    store: [StoreCtr; 3],
+    store: StoreCtr,
     demotions: u64,
     journal_appends: u64,
-    lease_fences: u64,
     /// Per-function `(entry, ns)` samples from [`TraceEvent::FuncSpan`];
     /// the `slowest:` line is derived from the per-rewrite suffix.
     func_samples: Vec<(u64, u64)>,
@@ -430,10 +360,6 @@ impl RegistryInner {
                 self.decodes[stage_idx(*stage)] += 1;
                 self.decode_ns[stage_idx(*stage)] += ns;
             }
-            TraceEvent::RpcSpan { ns, .. } => {
-                self.rpc_spans += 1;
-                self.rpc_ns += ns;
-            }
             TraceEvent::CacheLookup { stage, hit, shared, .. } => {
                 let c = &mut self.cache[stage_idx(*stage)];
                 if *hit {
@@ -455,8 +381,8 @@ impl RegistryInner {
             }
             TraceEvent::Demotion { .. } => self.demotions += 1,
             TraceEvent::JournalAppend { .. } => self.journal_appends += 1,
-            TraceEvent::Store { src, op } => {
-                let c = &mut self.store[src.idx()];
+            TraceEvent::Store { op } => {
+                let c = &mut self.store;
                 match op {
                     StoreOp::Lookup { .. } => c.lookups += 1,
                     StoreOp::Hit { .. } => c.hits_raw += 1,
@@ -475,11 +401,6 @@ impl RegistryInner {
                     StoreOp::Retry => c.retries += 1,
                     StoreOp::IoError => c.io_errors += 1,
                     StoreOp::LockTimeout => c.lock_timeouts += 1,
-                    StoreOp::RemoteHit => c.remote_hits += 1,
-                    StoreOp::RemoteMiss => c.remote_misses += 1,
-                    StoreOp::BreakerTrip => c.breaker_trips += 1,
-                    StoreOp::Degraded => c.degraded += 1,
-                    StoreOp::LeaseFence { .. } => self.lease_fences += 1,
                 }
             }
         }
@@ -488,6 +409,15 @@ impl RegistryInner {
     fn stage_stats(&self, stage: Stage) -> StageStats {
         let c = self.cache[stage_idx(stage)];
         StageStats { hits: c.hits, misses: c.misses, shared: c.shared }
+    }
+
+    fn violations(&self) -> Vec<String> {
+        let s = self.store.stats();
+        if s.lookups > 0 || s.total() > 0 {
+            Registry::check("local store", &s)
+        } else {
+            Vec::new()
+        }
     }
 }
 
@@ -517,17 +447,16 @@ impl Registry {
         self.lock().stage_stats(stage)
     }
 
-    /// The [`StoreStats`] projection for one backend source (totals).
+    /// The [`StoreStats`] projection (totals).
     #[must_use]
-    pub fn store_stats(&self, src: StoreSrc) -> StoreStats {
-        self.lock().store[src.idx()].stats()
+    pub fn store_stats(&self) -> StoreStats {
+        self.lock().store.stats()
     }
 
     /// **The** conservation check — the single place the counter
     /// invariants live. Returns one message per violated law:
     ///
     /// * `hits + misses + lookup_quarantines == lookups`
-    /// * `remote_hits + remote_misses <= lookups`
     /// * `lookup_quarantines <= quarantined_records`
     #[must_use]
     pub fn check(label: &str, s: &StoreStats) -> Vec<String> {
@@ -536,12 +465,6 @@ impl Registry {
             v.push(format!(
                 "{label}: hits ({}) + misses ({}) + lookup quarantines ({}) != lookups ({})",
                 s.hits, s.misses, s.lookup_quarantines, s.lookups
-            ));
-        }
-        if s.remote_hits + s.remote_misses > s.lookups {
-            v.push(format!(
-                "{label}: remote hits ({}) + remote misses ({}) > lookups ({})",
-                s.remote_hits, s.remote_misses, s.lookups
             ));
         }
         if s.lookup_quarantines > s.quarantined_records {
@@ -553,18 +476,10 @@ impl Registry {
         v
     }
 
-    /// Run [`Registry::check`] over every store source with activity.
+    /// Run [`Registry::check`] over the store counters.
     #[must_use]
     pub fn violations(&self) -> Vec<String> {
-        let inner = self.lock();
-        let mut v = Vec::new();
-        for src in StoreSrc::ALL {
-            let s = inner.store[src.idx()].stats();
-            if s.lookups > 0 || s.total() > 0 {
-                v.extend(Registry::check(&format!("{} store", src.name()), &s));
-            }
-        }
-        v
+        self.lock().violations()
     }
 }
 
@@ -574,7 +489,7 @@ impl Registry {
 /// counter fold per event); when recording, events are additionally
 /// buffered for deterministic sealing. Share one per logical run:
 /// stores adopt it at open, [`RewriteCache`](crate::RewriteCache)
-/// adopts its backend's, the CLI drains it into a sink at exit.
+/// adopts its store's, the CLI drains it into a sink at exit.
 #[derive(Debug, Default)]
 pub struct Trace {
     registry: Registry,
@@ -645,8 +560,9 @@ impl Trace {
     }
 
     /// Derive one rewrite's [`RewriteStats`] from the registry delta
-    /// since `snap`. `store_src` selects which backend's counters feed
-    /// the `store` section (`None` → zeroes). The store conservation
+    /// since `snap`. `has_store` says whether the rewrite's cache has a
+    /// store attached (without one the `store` section is zeroes). The
+    /// store conservation
     /// laws are asserted here in debug builds — the rewrite boundary
     /// is quiescent, so the check can never race a half-counted
     /// lookup.
@@ -655,7 +571,7 @@ impl Trace {
         &self,
         snap: &RegistrySnapshot,
         threads: usize,
-        store_src: Option<StoreSrc>,
+        has_store: bool,
     ) -> RewriteStats {
         let now = self.registry.lock().clone();
         let d = |f: fn(&RegistryInner) -> u64| f(&now) - f(&snap.inner);
@@ -674,19 +590,16 @@ impl Trace {
         let analysis_ns = span_delta(SpanKind::Analysis);
         let relocate_ns = span_delta(SpanKind::Relocate);
         let placement_ns = span_delta(SpanKind::Placement);
-        let store = match store_src {
-            Some(src) => {
-                let s = now.store[src.idx()]
-                    .stats()
-                    .delta_since(&snap.inner.store[src.idx()].stats());
-                debug_assert!(
-                    Registry::check(src.name(), &s).is_empty(),
-                    "store counter conservation violated: {:?}",
-                    Registry::check(src.name(), &s)
-                );
-                s
-            }
-            None => StoreStats::default(),
+        let store = if has_store {
+            let s = now.store.stats().delta_since(&snap.inner.store.stats());
+            debug_assert!(
+                Registry::check("store", &s).is_empty(),
+                "store counter conservation violated: {:?}",
+                Registry::check("store", &s)
+            );
+            s
+        } else {
+            StoreStats::default()
         };
         RewriteStats {
             threads,
@@ -892,7 +805,6 @@ fn render_text_line(ev: &TraceEvent) -> String {
         TraceEvent::StoreDecode { stage, ns } => {
             format!("store decode {} ({:.3} ms)", stage.name(), *ns as f64 / 1e6)
         }
-        TraceEvent::RpcSpan { op, ns } => format!("rpc {op} ({:.3} ms)", *ns as f64 / 1e6),
         TraceEvent::CacheLookup { stage, key, hit, shared } => format!(
             "cache {} {key:#018x}: {}{}",
             stage.name(),
@@ -907,7 +819,7 @@ fn render_text_line(ev: &TraceEvent) -> String {
             format!("demote {entry:#x} {from} -> {to} (round {round})")
         }
         TraceEvent::JournalAppend { round } => format!("journal append (round {round})"),
-        TraceEvent::Store { src, op } => format!("store[{}] {op:?}", src.name()),
+        TraceEvent::Store { op } => format!("store {op:?}"),
     }
 }
 
@@ -983,24 +895,17 @@ pub fn summarize_events(events: &[TraceEvent]) -> TraceSummary {
 }
 
 impl TraceSummary {
-    /// Conservation violations across every active store source
-    /// (empty means the stream is consistent).
+    /// Store conservation violations (empty means the stream is
+    /// consistent).
     #[must_use]
     pub fn violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        for src in StoreSrc::ALL {
-            let s = self.inner.store[src.idx()].stats();
-            if s.lookups > 0 || s.total() > 0 {
-                v.extend(Registry::check(&format!("{} store", src.name()), &s));
-            }
-        }
-        v
+        self.inner.violations()
     }
 
-    /// The store-stats projection for one source.
+    /// The store-stats projection.
     #[must_use]
-    pub fn store_stats(&self, src: StoreSrc) -> StoreStats {
-        self.inner.store[src.idx()].stats()
+    pub fn store_stats(&self) -> StoreStats {
+        self.inner.store.stats()
     }
 
     /// The cache-stage projection.
@@ -1041,14 +946,6 @@ impl TraceSummary {
                 r.func_span_ns as f64 / 1e6
             ));
         }
-        if r.rpc_spans > 0 {
-            out.push_str(&format!(
-                "  {:<16} {:>4} leaf(s)  {:>10.3} ms\n",
-                "rpc",
-                r.rpc_spans,
-                r.rpc_ns as f64 / 1e6
-            ));
-        }
         // Store-hit decode, per stage: leaf time spent inside the
         // analysis and relocate spans that is store cost, not compute.
         for stage in Stage::ALL {
@@ -1082,17 +979,13 @@ impl TraceSummary {
             r.memo_hits, r.memo_misses, r.rounds
         ));
 
-        // Store counter totals, per source.
-        for src in StoreSrc::ALL {
-            let s = r.store[src.idx()].stats();
-            if s.lookups == 0 && s.total() == 0 && s.flushes == 0 {
-                continue;
-            }
+        // Store counter totals.
+        let s = r.store.stats();
+        if s.lookups > 0 || s.total() > 0 || s.flushes > 0 {
             out.push_str(&format!(
-                "{} store: {} lookup(s), {} hit(s), {} miss(es), {} quarantined, \
+                "local store: {} lookup(s), {} hit(s), {} miss(es), {} quarantined, \
                  {} flushed in {} flush(es), {} retries, {} io error(s), \
                  {} lock timeout(s)\n",
-                src.name(),
                 s.lookups,
                 s.hits,
                 s.misses,
@@ -1103,18 +996,11 @@ impl TraceSummary {
                 s.io_errors,
                 s.lock_timeouts
             ));
-            if s.remote_hits + s.remote_misses + s.breaker_trips + s.degraded > 0 {
-                out.push_str(&format!(
-                    "  remote: {} wire hit(s), {} wire miss(es), {} breaker trip(s), \
-                     {} degraded lookup(s)\n",
-                    s.remote_hits, s.remote_misses, s.breaker_trips, s.degraded
-                ));
-            }
         }
-        if r.demotions + r.journal_appends + r.lease_fences > 0 {
+        if r.demotions + r.journal_appends > 0 {
             out.push_str(&format!(
-                "ladder: {} demotion(s), {} journal append(s), {} lease fence(s)\n",
-                r.demotions, r.journal_appends, r.lease_fences
+                "ladder: {} demotion(s), {} journal append(s)\n",
+                r.demotions, r.journal_appends
             ));
         }
 
@@ -1160,25 +1046,13 @@ pub fn render_diff(a: &TraceSummary, b: &TraceSummary) -> String {
     row("analysis.memo_hits", a.inner.memo_hits, b.inner.memo_hits);
     row("analysis.memo_misses", a.inner.memo_misses, b.inner.memo_misses);
     row("analysis.rounds", a.inner.rounds, b.inner.rounds);
-    for src in StoreSrc::ALL {
-        let (sa, sb) = (
-            a.inner.store[src.idx()].stats(),
-            b.inner.store[src.idx()].stats(),
-        );
-        let p = src.name();
-        row(&format!("store.{p}.lookups"), sa.lookups, sb.lookups);
-        row(&format!("store.{p}.hits"), sa.hits, sb.hits);
-        row(&format!("store.{p}.misses"), sa.misses, sb.misses);
-        row(
-            &format!("store.{p}.quarantined"),
-            sa.quarantined_records,
-            sb.quarantined_records,
-        );
-        row(&format!("store.{p}.flushed"), sa.flushed_records, sb.flushed_records);
-        row(&format!("store.{p}.retries"), sa.retries, sb.retries);
-        row(&format!("store.{p}.remote_hits"), sa.remote_hits, sb.remote_hits);
-        row(&format!("store.{p}.remote_misses"), sa.remote_misses, sb.remote_misses);
-    }
+    let (sa, sb) = (a.inner.store.stats(), b.inner.store.stats());
+    row("store.local.lookups", sa.lookups, sb.lookups);
+    row("store.local.hits", sa.hits, sb.hits);
+    row("store.local.misses", sa.misses, sb.misses);
+    row("store.local.quarantined", sa.quarantined_records, sb.quarantined_records);
+    row("store.local.flushed", sa.flushed_records, sb.flushed_records);
+    row("store.local.retries", sa.retries, sb.retries);
     row("ladder.demotions", a.inner.demotions, b.inner.demotions);
     row("journal.appends", a.inner.journal_appends, b.inner.journal_appends);
     for i in 0..SPAN_N {
@@ -1280,7 +1154,7 @@ mod tests {
             TraceEvent::SpanOpen { span: SpanKind::Round { round: 3 } },
             TraceEvent::SpanClose { span: SpanKind::Analysis, ns: 1234 },
             TraceEvent::FuncSpan { entry: 0x401000, ns: 55 },
-            TraceEvent::RpcSpan { op: "get".to_string(), ns: 9 },
+            TraceEvent::StoreDecode { stage: Stage::Func, ns: 9 },
             TraceEvent::CacheLookup { stage: Stage::Func, key: u64::MAX, hit: true, shared: false },
             TraceEvent::AnalysisMemo { hit: false, rounds: 2 },
             TraceEvent::Demotion {
@@ -1290,8 +1164,8 @@ mod tests {
                 to: "jt".to_string(),
             },
             TraceEvent::JournalAppend { round: 2 },
-            TraceEvent::Store { src: StoreSrc::Remote, op: StoreOp::LeaseFence { fence: 7 } },
-            TraceEvent::Store { src: StoreSrc::Local, op: StoreOp::Lookup { stage: Stage::Emit } },
+            TraceEvent::Store { op: StoreOp::Flushed { records: 7 } },
+            TraceEvent::Store { op: StoreOp::Lookup { stage: Stage::Emit } },
         ];
         for ev in events {
             let line = ev.to_json();
@@ -1317,12 +1191,11 @@ mod tests {
     #[test]
     fn quarantine_reclassifies_the_hit() {
         let trace = Trace::new();
-        let src = StoreSrc::Local;
         let stage = Stage::Fragment;
-        trace.emit(TraceEvent::Store { src, op: StoreOp::Lookup { stage } });
-        trace.emit(TraceEvent::Store { src, op: StoreOp::Hit { stage } });
-        trace.emit(TraceEvent::Store { src, op: StoreOp::LookupQuarantine { stage } });
-        let s = trace.registry().store_stats(src);
+        trace.emit(TraceEvent::Store { op: StoreOp::Lookup { stage } });
+        trace.emit(TraceEvent::Store { op: StoreOp::Hit { stage } });
+        trace.emit(TraceEvent::Store { op: StoreOp::LookupQuarantine { stage } });
+        let s = trace.registry().store_stats();
         assert_eq!(s.lookups, 1);
         assert_eq!(s.hits, 0);
         assert_eq!(s.misses, 0);

@@ -60,6 +60,9 @@ impl Metadata {
 pub enum ObjError {
     /// Two allocated sections overlap in the address space.
     OverlappingSections { a: String, b: String },
+    /// Two function symbols claim intersecting address ranges (and
+    /// are not aliases: same address, same size).
+    OverlappingFunctions { a: u64, b: u64 },
     /// A read or write touched an address no section maps.
     Unmapped { addr: u64 },
     /// A named section does not exist.
@@ -71,6 +74,9 @@ impl fmt::Display for ObjError {
         match self {
             ObjError::OverlappingSections { a, b } => {
                 write!(f, "sections {a} and {b} overlap")
+            }
+            ObjError::OverlappingFunctions { a, b } => {
+                write!(f, "function symbols at {a:#x} and {b:#x} overlap")
             }
             ObjError::Unmapped { addr } => write!(f, "address {addr:#x} is not mapped"),
             ObjError::NoSuchSection { name } => write!(f, "no section named {name}"),
@@ -231,11 +237,14 @@ impl Binary {
             .sum()
     }
 
-    /// Verify that no two allocated sections overlap.
+    /// Verify that no two allocated sections overlap and that no two
+    /// function symbols claim intersecting ranges. Aliases (same
+    /// address, same size) and empty symbols are allowed.
     ///
     /// # Errors
     ///
-    /// [`ObjError::OverlappingSections`] naming the first offending
+    /// [`ObjError::OverlappingSections`] or
+    /// [`ObjError::OverlappingFunctions`] naming the first offending
     /// pair.
     pub fn validate_layout(&self) -> Result<(), ObjError> {
         let mut ranges: Vec<&Section> =
@@ -247,6 +256,19 @@ impl Binary {
                     a: w[0].name().to_string(),
                     b: w[1].name().to_string(),
                 });
+            }
+        }
+        // Symbols are sorted by address, so each function need only be
+        // checked against the one reaching furthest before it.
+        let mut reach: Option<&Symbol> = None;
+        for s in self.functions().filter(|s| s.size > 0) {
+            if let Some(r) = reach {
+                if s.addr < r.end() && (s.addr, s.size) != (r.addr, r.size) {
+                    return Err(ObjError::OverlappingFunctions { a: r.addr, b: s.addr });
+                }
+            }
+            if reach.is_none_or(|r| s.end() > r.end()) {
+                reach = Some(s);
             }
         }
         Ok(())
@@ -438,6 +460,29 @@ mod tests {
             b.validate_layout(),
             Err(ObjError::OverlappingSections { .. })
         ));
+    }
+
+    #[test]
+    fn overlapping_function_symbols_are_rejected() {
+        // `a` is [0x1000, 0x1080) and `b` is [0x1080, 0x1100).
+        let mut b = bin();
+        // An alias (same address and size) and an empty symbol are fine.
+        b.add_symbol(Symbol::func("a_alias", 0x1000, 0x80, Language::C));
+        b.add_symbol(Symbol::func("marker", 0x1040, 0, Language::C));
+        assert!(b.validate_layout().is_ok());
+        // Widening `a` into `b` is not.
+        let mut wide = bin();
+        wide.symbols_mut().iter_mut().find(|s| s.name == "a").unwrap().size = 0x88;
+        assert_eq!(
+            wide.validate_layout(),
+            Err(ObjError::OverlappingFunctions { a: 0x1000, b: 0x1080 })
+        );
+        // Nor is a function nested inside another.
+        b.add_symbol(Symbol::func("inner", 0x10C0, 0x4, Language::C));
+        assert_eq!(
+            b.validate_layout(),
+            Err(ObjError::OverlappingFunctions { a: 0x1080, b: 0x10C0 })
+        );
     }
 
     #[test]

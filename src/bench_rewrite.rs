@@ -66,14 +66,6 @@ pub struct WorkloadBench {
     pub persisted_hit_rate: f64,
     /// Records the persisted run quarantined (0 on a healthy store).
     pub persisted_quarantined: u64,
-    /// Warm-from-remote rewrite wall time: a fresh cache attached over
-    /// TCP to an in-process server over the persisted store (ms) —
-    /// what `--store-url` buys a second machine.
-    #[serde(default)]
-    pub remote_ms: f64,
-    /// Remote-store hit rate of the warm-from-remote rewrite.
-    #[serde(default)]
-    pub remote_hit_rate: f64,
     /// All rewrites (serial, parallel, warm, persisted) produced
     /// byte-identical binaries.
     pub byte_identical: bool,
@@ -191,33 +183,11 @@ fn bench_one(name: &str, arch: Arch, binary: &Binary, seed: u64) -> WorkloadBenc
         + out_disk.stats.store.quarantined_segments;
     drop(disk);
 
-    // Remote: serve the same persisted store in-process and rewrite
-    // through a fresh cache attached over TCP (a second machine, in
-    // effect). Includes the protocol round-trips, not the serve bind.
-    let (remote, remote_hit_rate, out_remote) = {
-        use icfgp_core::{parse_store_url, serve, RemoteOptions, RemoteStore, ServeOptions};
-        let server =
-            serve("127.0.0.1:0", &store_dir, ServeOptions::default()).expect("bench serve");
-        let url = parse_store_url(&server.url()).expect("bench url");
-        let rcache = RewriteCache::with_store(std::sync::Arc::new(RemoteStore::connect(
-            &url,
-            RemoteOptions::default(),
-        )));
-        let out = parallel
-            .rewrite_cached(binary, &instr, &rcache)
-            .expect("remote rewrite");
-        let remote = out.stats.timings.total_ns;
-        let rate = out.stats.store.hit_rate();
-        drop(rcache);
-        server.kill();
-        (remote, rate, out)
-    };
     let _ = std::fs::remove_dir_all(&store_dir);
 
     let byte_identical = out_serial.binary == out_cold.binary
         && out_cold.binary == out_warm.binary
-        && out_cold.binary == out_disk.binary
-        && out_cold.binary == out_remote.binary;
+        && out_cold.binary == out_disk.binary;
     let warm_hits = out_warm.stats.fragments.hits + out_warm.stats.emits.hits;
     let warm_total = out_warm.stats.fragments.total() + out_warm.stats.emits.total();
     let warm_hit_rate = if warm_total == 0 {
@@ -267,8 +237,6 @@ fn bench_one(name: &str, arch: Arch, binary: &Binary, seed: u64) -> WorkloadBenc
         persisted_ms: span_ms(persisted),
         persisted_hit_rate,
         persisted_quarantined,
-        remote_ms: span_ms(remote),
-        remote_hit_rate,
         parallel_speedup: span_ms(cold_serial) / span_ms(cold_parallel).max(1e-9),
         warm_speedup: span_ms(cold_parallel) / span_ms(warm).max(1e-9),
         funcs_per_sec: out_cold.report.instrumented_funcs as f64
@@ -419,18 +387,16 @@ impl BenchReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<22} {:>6} {:>10} {:>10} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7} {:>6} {:>9} {:>7} {:>9}",
+            "{:<22} {:>6} {:>10} {:>10} {:>9} {:>9} {:>7} {:>7} {:>7} {:>9} {:>7} {:>9}",
             "workload/arch",
             "funcs",
             "cold1 ms",
             "coldN ms",
             "warm ms",
             "disk ms",
-            "net ms",
             "par x",
             "warm x",
             "disk %",
-            "net %",
             "f/s",
             "rounds",
             "ladder x"
@@ -439,18 +405,16 @@ impl BenchReport {
             let _ =
                 writeln!(
                 out,
-                "{:<22} {:>6} {:>10.2} {:>10.2} {:>9.2} {:>9.2} {:>9.2} {:>7.2} {:>7.1} {:>7.0} {:>6.0} {:>9.0} {:>7} {:>9.1}{}",
+                "{:<22} {:>6} {:>10.2} {:>10.2} {:>9.2} {:>9.2} {:>7.2} {:>7.1} {:>7.0} {:>9.0} {:>7} {:>9.1}{}",
                 format!("{}/{}", w.workload, w.arch),
                 w.funcs,
                 w.cold_serial_ms,
                 w.cold_parallel_ms,
                 w.warm_ms,
                 w.persisted_ms,
-                w.remote_ms,
                 w.parallel_speedup,
                 w.warm_speedup,
                 w.persisted_hit_rate * 100.0,
-                w.remote_hit_rate * 100.0,
                 w.funcs_per_sec,
                 w.ladder_rounds,
                 w.ladder_round_speedup,
@@ -506,10 +470,6 @@ mod tests {
                 "warm-from-disk run must hit the persisted store: {w:?}"
             );
             assert_eq!(w.persisted_quarantined, 0, "healthy store must not quarantine: {w:?}");
-            assert!(
-                w.remote_hit_rate > 0.0,
-                "warm-from-remote run must hit the served store: {w:?}"
-            );
         }
         let json = serde_json::to_string(&report).unwrap();
         let back: BenchReport = serde_json::from_str(&json).unwrap();

@@ -11,15 +11,13 @@
 
 use incremental_cfg_patching::audit::{render_text, to_sarif};
 use incremental_cfg_patching::chaos::{
-    parse_floor, run_campaign, run_kill_campaign, run_net_campaign, CampaignConfig, CaseStatus,
-    KillCampaignConfig, NetCampaignConfig,
+    parse_floor, run_campaign, run_kill_campaign, CampaignConfig, CaseStatus, KillCampaignConfig,
 };
 use incremental_cfg_patching::cfg::{analyze, AnalysisConfig, FuncStatus};
 use incremental_cfg_patching::core::{
-    apply_audit_gate, audit_mode_of, binary_fingerprint, config_fingerprint, parse_store_url,
-    pool, serve, store, trace, CacheStore, CorruptKind, FaultPlan, Instrumentation, JsonlSink,
-    Points, RemoteOptions, RemoteStore, RewriteCache, RewriteConfig, RewriteMode, RunJournal,
-    ServeOptions, SpanKind, StoreBackend, StoreSrc, Trace, UnwindStrategy,
+    apply_audit_gate, audit_mode_of, binary_fingerprint, config_fingerprint, pool, store, trace,
+    CacheStore, CorruptKind, FaultPlan, Instrumentation, JsonlSink, Points, RewriteCache,
+    RewriteConfig, RewriteMode, RunJournal, SpanKind, Trace, UnwindStrategy,
 };
 use incremental_cfg_patching::emu::{run, LoadOptions, Outcome};
 use incremental_cfg_patching::isa::Arch;
@@ -42,32 +40,29 @@ USAGE:
             [--arch A] [--pie] [--seed N] [--perturb N] -o FILE
   icfgp analyze FILE
   icfgp audit FILE [--mode <dir|jt|func-ptr>] [--format <text|json|sarif>]
-                   [--fault-seed N] [--intensity I] [--cache-dir DIR]
-  icfgp rewrite FILE --mode <dir|jt|func-ptr> [--unwind <ra|emulate|none>]
-                     [--no-poison] [--points <blocks|entries|none>]
-                     [--fault-seed N] [--intensity <none|quiet|standard|aggressive>]
-                     [--floor <dir|jt|func-ptr|trap-only|skip>] [--budget FRAC]
-                     [--audit-gate] [--cache-dir DIR] [--stats] [--trace FILE]
-                     [--quiet] [--func-timeout-ms N]
+                   [--fault-seed N] [--intensity I] [--cache-dir DIR] [--trace FILE]
+  icfgp rewrite FILE [rewrite options] [--stats] [--quiet]
                      [--journal FILE [--resume]] -o FILE
-  icfgp verify FILE [--mode <dir|jt|func-ptr>] [--unwind <ra|emulate|none>]
-                    [--no-poison] [--points <blocks|entries|none>]
-                    [--fault-seed N] [--intensity I] [--floor F] [--budget FRAC]
-                    [--cache-dir DIR] [--trace FILE] [--json]
-  icfgp fleet FILES... [--cache-dir DIR] [--trace FILE] [--quiet]
-              [rewrite options]
+  icfgp verify FILE [rewrite options] [--json]
+  icfgp fleet FILES... [rewrite options] [--quiet]
   icfgp run FILE [--preload-runtime] [--bias HEX] [--fuel N]
   icfgp chaos [--seeds N] [--workloads A,B] [--arch A] [--mode M]
               [--intensity I] [--floor F] [--budget FRAC] [--cache-dir DIR]
-              [--kill-resume] [--net] [--trace FILE] [--quiet] [--json]
+              [--kill-resume] [--trace FILE] [--quiet] [--json]
   icfgp cache <stats|verify|clear|compact> --cache-dir DIR [--trace FILE]
-  icfgp cache stats --store-url icfgp://HOST:PORT
-  icfgp cache serve HOST:PORT --cache-dir DIR
   icfgp cache corrupt --cache-dir DIR --kind <bit-flip|truncate|stale-version> [--seed N]
   icfgp trace summarize FILE
   icfgp trace diff A B
   icfgp bench-rewrite [--quick] [-o FILE]   (default FILE: BENCH_rewrite.json)
   icfgp list-workloads
+
+rewrite options: --mode <dir|jt|func-ptr> [--unwind <ra|emulate|none>]
+  [--no-poison] [--points <blocks|entries|none>] [--fault-seed N]
+  [--intensity <none|quiet|standard|aggressive>]
+  [--floor <dir|jt|func-ptr|trap-only|skip>] [--budget FRAC]
+  [--audit-gate] [--func-timeout-ms N] [--cache-dir DIR] [--trace FILE]
+
+An unknown command, flag or `cache` subcommand is a usage error (exit 64).
 
 `audit` runs the whole-binary static soundness audit (lint codes
 ICFGP-A001..A010, severity proven < over-approx < under-approx-risk <
@@ -89,8 +84,8 @@ values are rejected with exit code 64, as are non-integer
 
 `--trace FILE` (or `ICFGP_TRACE`) records the structured event spine
 — spans (run, rewrite, analysis rounds, store flushes), cache
-lookups, demotions, retries, breaker trips, lease fences, journal
-appends — as newline-delimited JSON. The stream is sealed into a
+lookups, demotions, retries, journal appends — as newline-delimited
+JSON. The stream is sealed into a
 deterministic address-ordered form: bytes are identical for any
 `ICFGP_THREADS`, and rewriting output is identical with tracing on or
 off. `icfgp trace summarize FILE` folds a recorded stream back
@@ -109,12 +104,7 @@ ladder round durably; after a crash or kill, rerunning with
 `--resume` replays the journal and redoes only the unfinished rounds,
 producing byte-identical output. `chaos --kill-resume` sweeps every
 journal boundary of each case with a kill + resume and checks that
-oracle. `chaos --net` sweeps network faults (delays, drops, torn and
-bit-flipped replies, lease expiry, server kill mid-PUT) against a
-live in-process store server: output bytes must match a cold run,
-every lookup must be accounted exactly once, and a second fault-free
-client against the warm server must miss strictly less than the
-first.
+oracle.
 
 `fleet` rewrites a batch of near-identical binaries over one shared
 warm cache store: fragment and emitted-code entries are keyed
@@ -132,16 +122,6 @@ flushed back on exit. Corrupt or unreadable records are quarantined
 and recomputed — output bytes are identical to a cold run. `icfgp
 cache verify` integrity-checks every record; `corrupt` deliberately
 damages a store for testing.
-
-`--store-url icfgp://HOST:PORT` (or `ICFGP_STORE_URL`) attaches a
-remote cache served by `icfgp cache serve`: lookups and flushes go
-over a length-prefixed checksummed TCP protocol, writes are fenced by
-an epoch-bumping lease, and transient faults are retried with bounded
-jittered backoff. When the server is unreachable or lying, the client
-hedges to the local `--cache-dir` overflow store and finally degrades
-to fully-local — a dead server only ever costs cache misses, never
-wrong bytes or a hung run. A malformed URL is a usage error (exit
-64). `icfgp cache stats --store-url U` queries a live server.
 
 EXIT CODES: 0 clean, 1 degraded within budget, 2 budget exceeded
 (chaos: any case failed), 3 internal error, 64 usage.
@@ -166,15 +146,6 @@ fn cache_dir(args: &[String]) -> Option<PathBuf> {
         .or_else(|| std::env::var("ICFGP_CACHE_DIR").ok())
         .filter(|s| !s.trim().is_empty())
         .map(PathBuf::from)
-}
-
-/// The remote-store URL: `--store-url URL` wins, then the
-/// `ICFGP_STORE_URL` environment variable, else no remote store. The
-/// value is validated up front in `main` (exit 64 on garbage).
-fn store_url(args: &[String]) -> Option<String> {
-    arg_value(args, "--store-url")
-        .or_else(|| std::env::var("ICFGP_STORE_URL").ok())
-        .filter(|s| !s.trim().is_empty())
 }
 
 /// The structured-trace output file: `--trace FILE` wins, then the
@@ -209,35 +180,15 @@ fn write_trace(trace: &Trace, path: &std::path::Path) -> Result<(), String> {
     trace.drain(&mut sink).map_err(|e| format!("trace {}: {e}", path.display()))
 }
 
-/// Build the rewrite cache for a command: attached to the remote store
-/// when a store URL is configured (with any cache dir as the local
-/// overflow/hedge store), to the persistent local store when only a
-/// cache dir is configured, plain in-memory otherwise.
+/// Build the rewrite cache for a command: attached to the persistent
+/// store when a cache dir is configured, plain in-memory otherwise.
 fn open_cache(args: &[String]) -> RewriteCache {
-    if let Some(raw) = store_url(args) {
-        // Already validated in `main`; a parse failure here means the
-        // flag appeared after `--` tricks — treat it the same way.
-        let url = parse_store_url(&raw).expect("store url validated at startup");
-        let store = Arc::new(RemoteStore::connect(
-            &url,
-            RemoteOptions { overflow_dir: cache_dir(args), ..RemoteOptions::default() },
-        ));
-        for e in store.events() {
-            eprintln!("cache-store: {e}");
-        }
-        return RewriteCache::with_store(store);
-    }
     match cache_dir(args) {
         Some(dir) => {
             // Record from before the open, so a `--trace` stream shows
             // the store-open span and the segments it loaded.
             let spine = if trace_path(args).is_some() { Trace::recording() } else { Trace::new() };
-            let store = Arc::new(CacheStore::open_traced(
-                &dir,
-                store::lock_timeout(),
-                spine,
-                StoreSrc::Local,
-            ));
+            let store = Arc::new(CacheStore::open_traced(&dir, store::lock_timeout(), spine));
             for e in store.events() {
                 eprintln!("cache-store: {e}");
             }
@@ -264,19 +215,12 @@ fn finish_cache(cache: &RewriteCache, quiet: bool) {
     println!(
         "  cache store: {} — {} hit / {} miss persisted, {} record(s) flushed, \
          {} quarantined",
-        store.describe(),
+        store.dir().display(),
         s.hits,
         s.misses,
         flushed,
         s.quarantined_records + s.quarantined_segments,
     );
-    if s.remote_hits + s.remote_misses + s.breaker_trips + s.degraded > 0 {
-        println!(
-            "  remote     : {} hit / {} miss, {} retries, {} breaker trip(s), \
-             {} degraded lookup(s)",
-            s.remote_hits, s.remote_misses, s.retries, s.breaker_trips, s.degraded,
-        );
-    }
 }
 
 fn parse_arch(args: &[String]) -> Arch {
@@ -287,9 +231,14 @@ fn parse_arch(args: &[String]) -> Arch {
     }
 }
 
+/// Read, parse and validate an input binary: every subcommand that
+/// takes one rejects a malformed layout here (exit 3).
 fn load_binary(path: &str) -> Result<Binary, String> {
     let data = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    serde_json::from_slice(&data).map_err(|e| format!("parsing {path}: {e}"))
+    let binary: Binary =
+        serde_json::from_slice(&data).map_err(|e| format!("parsing {path}: {e}"))?;
+    binary.validate_layout().map_err(|e| format!("{path}: {e}"))?;
+    Ok(binary)
 }
 
 fn save_binary(binary: &Binary, path: &str) -> Result<(), String> {
@@ -863,97 +812,9 @@ fn cmd_chaos_kill(args: &[String]) -> Result<u8, String> {
     Ok(report.exit_code())
 }
 
-/// `icfgp chaos --net` — sweep network faults against a live
-/// in-process store server and check the degradation oracles.
-fn cmd_chaos_net(args: &[String]) -> Result<u8, String> {
-    let mut config = NetCampaignConfig::default();
-    if let Some(n) = arg_value(args, "--seeds") {
-        let n: u64 = n.parse().map_err(|_| format!("bad --seeds {n}"))?;
-        config.seeds = (1..=n).collect();
-    }
-    if let Some(w) = arg_value(args, "--workloads") {
-        config.workloads = w.split(',').map(str::to_string).collect();
-    }
-    if has_flag(args, "--arch") {
-        config.arches = vec![parse_arch(args)];
-    }
-    if let Some(m) = arg_value(args, "--mode") {
-        config.modes = vec![match m.as_str() {
-            "dir" => RewriteMode::Dir,
-            "jt" => RewriteMode::Jt,
-            "func-ptr" => RewriteMode::FuncPtr,
-            other => return Err(format!("unknown --mode {other}")),
-        }];
-    }
-    if let Some(i) = arg_value(args, "--intensity") {
-        if FaultPlan::named(&i, 0).is_none() {
-            return Err(format!("unknown --intensity {i}"));
-        }
-        config.intensity = i;
-    }
-    if let Some(floor) = arg_value(args, "--floor") {
-        config.policy.floor = parse_floor(&floor)?;
-    }
-    if let Some(budget) = arg_value(args, "--budget") {
-        config.policy.max_below_floor =
-            budget.parse().map_err(|_| format!("bad --budget {budget}"))?;
-    }
-    if let Some(dir) = cache_dir(args) {
-        config.dir = dir;
-    }
-    let quiet = is_quiet(args);
-    let json = has_flag(args, "--json");
-    let tpath = trace_path(args);
-    let spine = tpath.as_ref().map(|_| Trace::recording());
-    config.trace = spine.clone();
-    let run_span = spine.as_deref().map(|t| t.span(SpanKind::Run));
-    let report = run_net_campaign(&config, |case| {
-        if !json && !quiet {
-            println!(
-                "{}/{}/{} seed {}: {}{}",
-                case.workload,
-                case.arch,
-                case.mode,
-                case.seed,
-                if case.passed { "ok" } else { "FAILED" },
-                if case.detail.is_empty() {
-                    format!(
-                        " [{} injected, {} retries, {} trip(s), warm {} -> {}]",
-                        case.injected,
-                        case.retries,
-                        case.breaker_trips,
-                        case.warm_first_misses,
-                        case.warm_second_misses,
-                    )
-                } else {
-                    format!(" — {}", case.detail)
-                },
-            );
-        }
-    })?;
-    if let Some(s) = run_span {
-        s.close();
-    }
-    if !quiet {
-        if json {
-            println!("{}", serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?);
-        } else {
-            println!();
-            println!("{}", report.render());
-        }
-    }
-    if let (Some(t), Some(p)) = (&spine, &tpath) {
-        write_trace(t, p)?;
-    }
-    Ok(report.exit_code())
-}
-
 fn cmd_chaos(args: &[String]) -> Result<u8, String> {
     if has_flag(args, "--kill-resume") {
         return cmd_chaos_kill(args);
-    }
-    if has_flag(args, "--net") {
-        return cmd_chaos_net(args);
     }
     let mut config = CampaignConfig::default();
     if let Some(n) = arg_value(args, "--seeds") {
@@ -1032,69 +893,11 @@ fn cmd_chaos(args: &[String]) -> Result<u8, String> {
     Ok(report.exit_code())
 }
 
-/// `icfgp cache stats --store-url URL` — query a running cache server
-/// for its server-side numbers, and report this client's retry and
-/// circuit-breaker counters alongside.
-fn cmd_cache_stats_remote(raw: &str) -> Result<u8, String> {
-    let url = parse_store_url(raw)?;
-    let store = RemoteStore::connect(&url, RemoteOptions::default());
-    let s = store.server_stats()?;
-    println!("{url}:");
-    println!("  segments   : {} on disk, {} record(s)", s.segments, s.records);
-    println!("  quarantine : {} file(s), {} byte(s) on disk", s.quarantined_files, s.quarantined_bytes);
-    println!("  key-epoch  : {} (server), format v{}", s.key_epoch, s.format_version);
-    println!(
-        "  server     : {} conn(s), {} request(s), {} hit / {} miss, \
-         {} put(s) accepted / {} rejected",
-        s.connections, s.requests, s.get_hits, s.get_misses, s.puts_accepted, s.puts_rejected,
-    );
-    println!(
-        "  leases     : fence {}, {} granted, {} busy, {} renew(s), {} release(s), \
-         {} fence(s) expired",
-        s.fence, s.leases_granted, s.leases_busy, s.renews, s.releases, s.fences_expired,
-    );
-    if s.bad_frames > 0 {
-        println!("  bad frames : {}", s.bad_frames);
-    }
-    let c = store.stats();
-    println!(
-        "  client     : {} retries, {} breaker trip(s), {} io error(s)",
-        c.retries, c.breaker_trips, c.io_errors,
-    );
-    Ok(0)
-}
-
-/// `icfgp cache serve ADDR --cache-dir D` — serve a store directory
-/// over the length-prefixed TCP protocol until killed.
-fn cmd_cache_serve(args: &[String], dir: Option<PathBuf>) -> Result<u8, String> {
-    let addr = args.first().filter(|a| !a.starts_with('-')).cloned().ok_or(
-        "missing ADDR (icfgp cache serve HOST:PORT --cache-dir DIR; use HOST:0 \
-         for an ephemeral port)",
-    )?;
-    let dir = dir.ok_or("missing --cache-dir DIR (or set ICFGP_CACHE_DIR)")?;
-    let handle =
-        serve(&addr, &dir, ServeOptions::default()).map_err(|e| format!("serve {addr}: {e}"))?;
-    println!("serving {} from {}", handle.url(), dir.display());
-    println!("  connect with --store-url {} (Ctrl-C to stop)", handle.url());
-    handle.wait();
-    Ok(0)
-}
-
 /// `icfgp cache <stats|verify|clear|corrupt>` — offline maintenance of
 /// a persistent store directory.
 fn cmd_cache(args: &[String]) -> Result<u8, String> {
-    let sub = args
-        .first()
-        .ok_or("missing cache subcommand (stats|verify|clear|compact|corrupt|serve)")?;
+    let sub = args.first().ok_or("missing cache subcommand (stats|verify|clear|compact|corrupt)")?;
     let rest = &args[1..];
-    if sub == "serve" {
-        return cmd_cache_serve(rest, cache_dir(rest));
-    }
-    if sub == "stats" {
-        if let Some(raw) = store_url(rest) {
-            return cmd_cache_stats_remote(&raw);
-        }
-    }
     let dir = cache_dir(rest)
         .ok_or("missing --cache-dir DIR (or set ICFGP_CACHE_DIR)")?;
     match sub.as_str() {
@@ -1104,12 +907,7 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
             let tpath = trace_path(rest);
             let spine = tpath.as_ref().map(|_| Trace::recording());
             let store = match &spine {
-                Some(t) => CacheStore::open_traced(
-                    &dir,
-                    store::lock_timeout(),
-                    Arc::clone(t),
-                    StoreSrc::Local,
-                ),
+                Some(t) => CacheStore::open_traced(&dir, store::lock_timeout(), Arc::clone(t)),
                 None => CacheStore::open(&dir),
             };
             let s = store.stats();
@@ -1282,6 +1080,74 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// The flags each subcommand accepts, as the usage text lists them;
+/// a trailing `=` marks a flag that takes a value. `cache` is keyed by
+/// its subcommand. `None`: no such (sub)command.
+fn accepted_flags(cmd: &str) -> Option<&'static [&'static [&'static str]]> {
+    const REWRITE: &[&str] = &[
+        "--mode=",
+        "--unwind=",
+        "--no-poison",
+        "--points=",
+        "--fault-seed=",
+        "--intensity=",
+        "--floor=",
+        "--budget=",
+        "--audit-gate",
+        "--func-timeout-ms=",
+        "--cache-dir=",
+        "--trace=",
+    ];
+    const STORE: &[&str] = &["--cache-dir=", "--trace="];
+    Some(match cmd {
+        "gen" => &[&["--workload=", "--arch=", "--pie", "--seed=", "--perturb=", "-o="]],
+        "analyze" | "list-workloads" | "trace" | "cache" => &[],
+        "audit" => &[&["--mode=", "--format=", "--fault-seed=", "--intensity="], STORE],
+        "rewrite" => {
+            &[REWRITE, &["--stats", "--quiet", "-q", "--journal=", "--resume", "-o="]]
+        }
+        "verify" => &[REWRITE, &["--json"]],
+        "fleet" => &[REWRITE, &["--quiet", "-q"]],
+        "run" => &[&["--preload-runtime", "--bias=", "--fuel="]],
+        "chaos" => &[
+            &["--seeds=", "--workloads=", "--arch=", "--mode=", "--intensity=", "--floor="],
+            &["--budget=", "--kill-resume", "--quiet", "-q", "--json"],
+            STORE,
+        ],
+        "cache stats" | "cache verify" | "cache clear" | "cache compact" => &[STORE],
+        "cache corrupt" => &[&["--cache-dir=", "--kind=", "--seed="]],
+        "bench-rewrite" => &[&["--quick", "-o="]],
+        _ => return None,
+    })
+}
+
+/// Check a command line against [`accepted_flags`] before any work
+/// starts, so a misspelt flag is a usage error rather than silently
+/// ignored. The value after a value-taking flag is skipped.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let Some(cmd) = args.first() else { return Ok(()) };
+    let (name, rest) = match (cmd.as_str(), args.get(1)) {
+        ("cache", Some(sub)) => (format!("{cmd} {sub}"), &args[2..]),
+        _ => (cmd.clone(), &args[1..]),
+    };
+    let flags = accepted_flags(&name).ok_or_else(|| format!("unknown command `{name}`"))?;
+    let mut rest = rest.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') {
+            continue;
+        }
+        let known = flags.iter().flat_map(|f| f.iter()).find(|f| f.trim_end_matches('=') == arg);
+        match known {
+            Some(f) if f.ends_with('=') => {
+                rest.next();
+            }
+            Some(_) => {}
+            None => return Err(format!("unknown flag {arg} for `icfgp {name}`")),
+        }
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     // An explicit-but-invalid ICFGP_THREADS override is a usage error:
     // refuse to start rather than silently running with a thread count
@@ -1301,14 +1167,9 @@ fn main() -> ExitCode {
         }
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // And for the store URL: a garbage `--store-url`/`ICFGP_STORE_URL`
-    // is a usage error, not a degraded run against nothing.
-    if let Some(raw) = store_url(&args) {
-        if let Err(e) = parse_store_url(&raw) {
-            eprintln!("error: {e}");
-            eprintln!("usage: --store-url icfgp://HOST:PORT (or ICFGP_STORE_URL)");
-            return ExitCode::from(64);
-        }
+    if let Err(e) = check_args(&args) {
+        eprintln!("error: {e}");
+        return usage();
     }
     let Some(cmd) = args.first() else { return usage() };
     let rest = &args[1..];

@@ -19,7 +19,7 @@
 
 use icfgp_core::{
     apply_audit_gate, audit_mode_of, binary_fingerprint, config_fingerprint, CacheStore,
-    DegradationPolicy, FaultPlan, FuncMode, Instrumentation, Points, Registry, RewriteCache,
+    DegradationPolicy, FaultPlan, FuncMode, Instrumentation, Points, RewriteCache,
     RewriteConfig, RewriteMode, RewriteStats, RunJournal, StoreStats, Trace,
 };
 use icfgp_emu::{run, LoadOptions, Outcome};
@@ -873,155 +873,6 @@ pub fn run_kill_campaign(
     Ok(report)
 }
 
-/// What a network-fault campaign should sweep.
-///
-/// Like [`KillCampaignConfig`] the scratch directory is mandatory:
-/// every case hosts its own in-process store server over a fresh
-/// directory, because the oracles inspect what the server left on
-/// disk.
-#[derive(Debug, Clone)]
-pub struct NetCampaignConfig {
-    /// Workload names (`small`, `switch_demo`, `spec:NAME`).
-    pub workloads: Vec<String>,
-    /// Architectures to cover.
-    pub arches: Vec<Arch>,
-    /// Requested rewriting modes.
-    pub modes: Vec<RewriteMode>,
-    /// Fault seeds; each seed is one independent fault plan (compute
-    /// faults and network faults both derive from it).
-    pub seeds: Vec<u64>,
-    /// Fault-plan intensity (`none`/`quiet`/`standard`/`aggressive`).
-    pub intensity: String,
-    /// Degradation policy applied to every case.
-    pub policy: DegradationPolicy,
-    /// Scratch directory; each case uses fresh server subdirectories.
-    pub dir: PathBuf,
-    /// Shared trace spine every case's clients emit onto (`--trace`);
-    /// `None` keeps per-case private collectors.
-    pub trace: Option<Arc<Trace>>,
-}
-
-impl Default for NetCampaignConfig {
-    fn default() -> NetCampaignConfig {
-        NetCampaignConfig {
-            workloads: vec!["small".into()],
-            arches: vec![Arch::X64],
-            modes: vec![RewriteMode::Jt, RewriteMode::FuncPtr],
-            seeds: vec![1, 2, 3],
-            intensity: "standard".into(),
-            policy: DegradationPolicy::default(),
-            dir: std::env::temp_dir().join(format!("icfgp-net-{}", std::process::id())),
-            trace: None,
-        }
-    }
-}
-
-/// One network-fault case: a faulted client against a live server,
-/// judged against a cold reference, plus a fault-free warm two-client
-/// pair on a second server.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NetCaseResult {
-    /// Workload name.
-    pub workload: String,
-    /// Architecture.
-    pub arch: String,
-    /// Requested mode.
-    pub mode: String,
-    /// Fault seed.
-    pub seed: u64,
-    /// Every oracle held.
-    pub passed: bool,
-    /// The first failure, or empty on a pass.
-    pub detail: String,
-    /// Transport faults the injector actually fired.
-    pub injected: u64,
-    /// Client request retries under the bounded policy.
-    pub retries: u64,
-    /// Circuit-breaker trips (at most 1 per client).
-    pub breaker_trips: u64,
-    /// Lookups served on the fully-local degraded path.
-    pub degraded_lookups: u64,
-    /// Lookups the server answered HIT.
-    pub remote_hits: u64,
-    /// Lookups the server answered MISS.
-    pub remote_misses: u64,
-    /// Total store lookups the faulted client accounted (hits +
-    /// misses). Conservation: must equal `warm_first_lookups` — net
-    /// faults may flip hits to misses but never lose or double-count
-    /// a lookup.
-    pub lookups: u64,
-    /// Store lookups the fault-free warm-first client accounted (the
-    /// conservation reference: same compute faults, clean wire).
-    pub warm_first_lookups: u64,
-    /// Stage misses of the cold (storeless) reference run.
-    pub cold_misses: u64,
-    /// Stage misses of the first fault-free client on a fresh server.
-    pub warm_first_misses: u64,
-    /// Stage misses of the second client against the now-warm server
-    /// (must be strictly below `warm_first_misses`).
-    pub warm_second_misses: u64,
-}
-
-/// Aggregated network-fault campaign results.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NetReport {
-    /// Every case, in sweep order.
-    pub cases: Vec<NetCaseResult>,
-}
-
-impl NetReport {
-    /// Campaign verdict: 0 when every oracle held, 2 otherwise (a
-    /// robustness failure, same class as a ladder failure).
-    #[must_use]
-    pub fn exit_code(&self) -> u8 {
-        if self.cases.iter().all(|c| c.passed) {
-            0
-        } else {
-            2
-        }
-    }
-
-    /// Render the per-case table and verdict line.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for c in &self.cases {
-            let _ = writeln!(
-                out,
-                "{:<34} seed {:>3}  {}{}",
-                format!("{}/{}/{}", c.workload, c.arch, c.mode),
-                c.seed,
-                if c.passed { "ok" } else { "FAILED" },
-                if c.detail.is_empty() {
-                    format!(
-                        " ({} fault(s) injected, {} retries, {} trip(s), \
-                         {} hit / {} miss remote, warm {} -> {})",
-                        c.injected,
-                        c.retries,
-                        c.breaker_trips,
-                        c.remote_hits,
-                        c.remote_misses,
-                        c.warm_first_misses,
-                        c.warm_second_misses,
-                    )
-                } else {
-                    format!(" — {}", c.detail)
-                },
-            );
-        }
-        let failed = self.cases.iter().filter(|c| !c.passed).count();
-        let injected: u64 = self.cases.iter().map(|c| c.injected).sum();
-        let _ = write!(
-            out,
-            "{} net-fault case(s): {} passed, {} failed, {injected} fault(s) injected",
-            self.cases.len(),
-            self.cases.len() - failed,
-            failed,
-        );
-        out
-    }
-}
-
 /// Open a per-case persistent store, emitting onto the shared
 /// campaign trace when one is configured.
 fn open_case_store(dir: &Path, trace: Option<&Arc<Trace>>) -> Arc<CacheStore> {
@@ -1030,287 +881,9 @@ fn open_case_store(dir: &Path, trace: Option<&Arc<Trace>>) -> Arc<CacheStore> {
             dir,
             icfgp_core::store::lock_timeout(),
             Arc::clone(t),
-            icfgp_core::StoreSrc::Local,
         )),
         None => Arc::new(CacheStore::open(dir)),
     }
-}
-
-/// Strip the network knobs from a plan, leaving compute and store
-/// faults intact (the warm-pair oracle must run over a clean wire).
-fn without_net_faults(plan: &FaultPlan) -> FaultPlan {
-    let mut p = plan.clone();
-    p.net_delay = 0.0;
-    p.net_drop = 0.0;
-    p.net_torn_response = 0.0;
-    p.net_bit_flip_reply = 0.0;
-    p.net_lease_expire = 0.0;
-    p.net_kill_mid_put = 0.0;
-    p
-}
-
-/// Run one network-fault case.
-///
-/// Three phases share one seeded fault plan:
-///
-/// 1. **cold reference** — a storeless run pins the expected output
-///    bytes;
-/// 2. **faulted client** — an in-process server over a fresh
-///    directory, with the client's transport wrapped in a
-///    [`FaultyTransport`] armed from the plan's net knobs (the
-///    `kill_mid_put` fault gets the server's real stop flag, so it
-///    kills the server mid-run). Oracles: byte-identity with the cold
-///    reference, the run completes within the retry/breaker budget,
-///    and the server directory holds no corrupt records;
-/// 3. **warm pair** — a second fresh server, two fault-free clients
-///    in sequence under the same compute faults. Oracles: the second
-///    client's stage misses are strictly below the first's, and
-///    lookup-count conservation — the faulted client accounted
-///    exactly as many lookups (hits + misses) as the fault-free first
-///    client, so net faults flipped hits to misses without ever
-///    losing or double-counting a lookup.
-#[must_use]
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-pub fn run_net_case(
-    binary: &Binary,
-    workload: &str,
-    arch: Arch,
-    mode: RewriteMode,
-    seed: u64,
-    intensity: &str,
-    policy: &DegradationPolicy,
-    dir: &Path,
-    trace: Option<&Arc<Trace>>,
-) -> NetCaseResult {
-    use icfgp_core::{
-        parse_store_url, serve, FaultyTransport, RemoteOptions, RemoteStore, RetryPolicy,
-        ServeOptions, StoreBackend, TcpTransport,
-    };
-    use std::time::Duration;
-
-    let mut config = RewriteConfig::new(mode);
-    config.fault_plan = FaultPlan::named(intensity, seed);
-    config.degradation = *policy;
-    let instr = Instrumentation::empty(Points::EveryBlock);
-    let label = format!("{workload}-{arch}-{mode}-{seed}");
-    let mut result = NetCaseResult {
-        workload: workload.into(),
-        arch: arch.to_string(),
-        mode: mode.to_string(),
-        seed,
-        passed: false,
-        detail: String::new(),
-        injected: 0,
-        retries: 0,
-        breaker_trips: 0,
-        degraded_lookups: 0,
-        remote_hits: 0,
-        remote_misses: 0,
-        lookups: 0,
-        warm_first_lookups: 0,
-        cold_misses: 0,
-        warm_first_misses: 0,
-        warm_second_misses: 0,
-    };
-
-    // Phase 1: cold reference, no store at all.
-    let cold_cache =
-        trace.map_or_else(RewriteCache::new, |t| RewriteCache::with_trace(Arc::clone(t)));
-    let cold = match rewrite_with_ladder_cached(binary, &config, &instr, &cold_cache) {
-        Ok(l) => l,
-        Err(e) => {
-            result.detail = format!("cold reference ladder: {e}");
-            return result;
-        }
-    };
-    let cold_bytes = serde_json::to_vec(&cold.outcome.binary).unwrap_or_default();
-    result.cold_misses = stage_misses(&cold.round_stats);
-
-    // Phase 2: faulted client against a live in-process server.
-    let deadline = std::time::Instant::now() + Duration::from_secs(120);
-    let srv_dir = dir.join(format!("{label}-srv"));
-    let server = match serve("127.0.0.1:0", &srv_dir, ServeOptions::default()) {
-        Ok(s) => s,
-        Err(e) => {
-            result.detail = format!("serve: {e}");
-            return result;
-        }
-    };
-    let net = config.fault_plan.as_ref().expect("plan set above").net_faults();
-    let transport = TcpTransport::new(server.addr(), Duration::from_millis(500));
-    let faulty = FaultyTransport::new(Box::new(transport), net, Some(server.stop_flag()));
-    let injected = faulty.injected_counter();
-    let store = Arc::new(RemoteStore::with_transport(
-        Box::new(faulty),
-        server.url(),
-        RemoteOptions {
-            overflow_dir: None,
-            timeout: Duration::from_millis(500),
-            breaker_threshold: 4,
-            retry: RetryPolicy::seeded(seed),
-            trace: trace.cloned(),
-        },
-    ));
-    // Campaigns can share one trace across every client, so per-client
-    // numbers come from a snapshot delta, not the raw counters.
-    let store_before = store.stats();
-    let cache = RewriteCache::with_store(store.clone());
-    let faulted = match rewrite_with_ladder_cached(binary, &config, &instr, &cache) {
-        Ok(l) => l,
-        Err(e) => {
-            result.detail = format!("faulted ladder: {e}");
-            return result;
-        }
-    };
-    cache.flush_store();
-    let s = store.stats().delta_since(&store_before);
-    let violations = Registry::check("net-faulted", &s);
-    if !violations.is_empty() {
-        result.detail = format!("store conservation broken: {}", violations.join("; "));
-        return result;
-    }
-    result.injected = injected.load(std::sync::atomic::Ordering::Relaxed);
-    result.retries = s.retries;
-    result.breaker_trips = s.breaker_trips;
-    result.degraded_lookups = s.degraded;
-    result.remote_hits = s.remote_hits;
-    result.remote_misses = s.remote_misses;
-    result.lookups = s.lookups;
-    drop(cache);
-    drop(store);
-    server.kill();
-    let faulted_bytes = serde_json::to_vec(&faulted.outcome.binary).unwrap_or_default();
-    if faulted_bytes != cold_bytes {
-        result.detail = "faulted output diverged from cold reference".into();
-        return result;
-    }
-    if std::time::Instant::now() > deadline {
-        result.detail = "faulted run blew the 120s retry/watchdog budget".into();
-        return result;
-    }
-    let report = icfgp_core::store::verify_dir(&srv_dir);
-    if report.corrupt_records > 0 || report.bad_segments > 0 || report.truncated_segments > 0 {
-        result.detail = format!(
-            "server store damaged: {} corrupt record(s), {} bad / {} truncated segment(s)",
-            report.corrupt_records, report.bad_segments, report.truncated_segments
-        );
-        return result;
-    }
-
-    // Phase 3: fault-free warm pair on a fresh server. Compute faults
-    // stay armed (same plan, net knobs zeroed), so both clients do the
-    // same work and only the store changes between them.
-    let mut warm_config = config.clone();
-    warm_config.fault_plan = config.fault_plan.as_ref().map(without_net_faults);
-    let warm_dir = dir.join(format!("{label}-warm"));
-    let server = match serve("127.0.0.1:0", &warm_dir, ServeOptions::default()) {
-        Ok(s) => s,
-        Err(e) => {
-            result.detail = format!("warm serve: {e}");
-            return result;
-        }
-    };
-    let url = parse_store_url(&server.url()).expect("server url is well-formed");
-    let warm = |tag: &str| -> Result<(u64, u64, Vec<u8>), String> {
-        let store = Arc::new(RemoteStore::connect(
-            &url,
-            RemoteOptions {
-                timeout: Duration::from_millis(500),
-                retry: RetryPolicy::seeded(seed),
-                trace: trace.cloned(),
-                ..RemoteOptions::default()
-            },
-        ));
-        let store_before = store.stats();
-        let cache = RewriteCache::with_store(store.clone());
-        let l = rewrite_with_ladder_cached(binary, &warm_config, &instr, &cache)
-            .map_err(|e| format!("{tag} ladder: {e}"))?;
-        cache.flush_store();
-        let s = store.stats().delta_since(&store_before);
-        let violations = Registry::check(tag, &s);
-        if !violations.is_empty() {
-            return Err(format!("{tag} conservation broken: {}", violations.join("; ")));
-        }
-        let bytes = serde_json::to_vec(&l.outcome.binary).unwrap_or_default();
-        Ok((stage_misses(&l.round_stats), s.lookups, bytes))
-    };
-    let (first, first_lookups, first_bytes) = match warm("warm-first") {
-        Ok(v) => v,
-        Err(e) => {
-            result.detail = e;
-            return result;
-        }
-    };
-    let (second, _, second_bytes) = match warm("warm-second") {
-        Ok(v) => v,
-        Err(e) => {
-            result.detail = e;
-            return result;
-        }
-    };
-    server.kill();
-    result.warm_first_misses = first;
-    result.warm_second_misses = second;
-    result.warm_first_lookups = first_lookups;
-    if first_bytes != cold_bytes || second_bytes != cold_bytes {
-        result.detail = "warm output diverged from cold reference".into();
-        return result;
-    }
-    if result.lookups != first_lookups {
-        result.detail = format!(
-            "lookup conservation broken: faulted client accounted {} lookup(s), \
-             fault-free client {first_lookups}",
-            result.lookups
-        );
-        return result;
-    }
-    if second >= first {
-        result.detail = format!(
-            "second client not warmer: {second} misses vs first client's {first}"
-        );
-        return result;
-    }
-    result.passed = true;
-    result
-}
-
-/// Run the full network-fault campaign. `progress` is called after
-/// each case.
-///
-/// # Errors
-///
-/// A message naming an unknown workload or an unusable scratch
-/// directory; fault and rewrite problems are per-case verdicts.
-pub fn run_net_campaign(
-    config: &NetCampaignConfig,
-    mut progress: impl FnMut(&NetCaseResult),
-) -> Result<NetReport, String> {
-    std::fs::create_dir_all(&config.dir)
-        .map_err(|e| format!("create {}: {e}", config.dir.display()))?;
-    let mut report = NetReport::default();
-    for wl in &config.workloads {
-        for arch in &config.arches {
-            let binary = build_workload(wl, *arch)?;
-            for mode in &config.modes {
-                for seed in &config.seeds {
-                    let case = run_net_case(
-                        &binary,
-                        wl,
-                        *arch,
-                        *mode,
-                        *seed,
-                        &config.intensity,
-                        &config.policy,
-                        &config.dir,
-                        config.trace.as_ref(),
-                    );
-                    progress(&case);
-                    report.cases.push(case);
-                }
-            }
-        }
-    }
-    Ok(report)
 }
 
 /// Parse a `--floor` CLI value.
@@ -1382,36 +955,6 @@ mod tests {
         assert!(case.max_resumed_misses < case.cold_misses, "{}", report.render());
         let json = serde_json::to_string(&report).unwrap();
         let back: KillReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(report, back);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn net_campaign_smoke_x64() {
-        let dir =
-            std::env::temp_dir().join(format!("icfgp-net-smoke-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = NetCampaignConfig {
-            workloads: vec!["small".into()],
-            arches: vec![Arch::X64],
-            modes: vec![RewriteMode::Jt],
-            seeds: vec![1, 2],
-            intensity: "aggressive".into(),
-            dir: dir.clone(),
-            ..NetCampaignConfig::default()
-        };
-        let report = run_net_campaign(&config, |_| {}).unwrap();
-        assert_eq!(report.cases.len(), 2);
-        assert_eq!(report.exit_code(), 0, "{}", report.render());
-        // Aggressive intensity must actually exercise the fault paths.
-        let injected: u64 = report.cases.iter().map(|c| c.injected).sum();
-        assert!(injected > 0, "no faults injected: {}", report.render());
-        for c in &report.cases {
-            assert!(c.lookups > 0 && c.lookups == c.warm_first_lookups, "{}", report.render());
-            assert!(c.warm_second_misses < c.warm_first_misses, "{}", report.render());
-        }
-        let json = serde_json::to_string(&report).unwrap();
-        let back: NetReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
         let _ = std::fs::remove_dir_all(&dir);
     }

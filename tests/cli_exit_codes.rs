@@ -291,9 +291,10 @@ fn invalid_millisecond_env_vars_are_usage_errors() {
 
 #[test]
 fn garbage_store_urls_are_usage_errors() {
-    // A malformed --store-url/ICFGP_STORE_URL refuses to start with
-    // exit 64 and a usage hint, rather than degrading against nothing.
-    let bad = [
+    // There is no remote store: `--store-url` is an unknown flag, so
+    // every value after it, malformed or well-formed, refuses to start
+    // with exit 64 and a usage hint rather than running storeless.
+    let urls = [
         "http://host:9000",           // wrong scheme
         "icfgp://",                   // missing host and port
         "icfgp://host",               // missing port
@@ -304,8 +305,10 @@ fn garbage_store_urls_are_usage_errors() {
         "icfgp://ho st:9000",         // unparsable host
         "icfgp://:9000",              // empty host
         "host:9000",                  // no scheme at all
+        "icfgp://127.0.0.1:9000",     // well-formed
+        "icfgp://[::1]:81",           // well-formed
     ];
-    for url in bad {
+    for url in urls {
         let out = icfgp()
             .args(["rewrite", "x.json", "--store-url", url, "-o", "y.json"])
             .output()
@@ -318,69 +321,92 @@ fn garbage_store_urls_are_usage_errors() {
         );
         let err = String::from_utf8_lossy(&out.stderr).to_string();
         assert!(err.contains("usage"), "error must include a usage hint: {err}");
-
-        // Same contract through the environment variable.
-        let out = icfgp()
-            .env("ICFGP_STORE_URL", url)
-            .arg("list-workloads")
-            .output()
-            .expect("runs");
-        assert_eq!(
-            out.status.code(),
-            Some(64),
-            "ICFGP_STORE_URL={url} must be rejected: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    // Well-formed URLs are accepted at startup (connection failures
-    // later degrade, they don't refuse).
-    for ok in ["icfgp://127.0.0.1:9000", "icfgp://[::1]:81", "icfgp://cache.example.com:65535"] {
-        let out = icfgp()
-            .env("ICFGP_STORE_URL", ok)
-            .arg("list-workloads")
-            .output()
-            .expect("runs");
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "ICFGP_STORE_URL={ok} must be accepted: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
     }
 }
 
 #[test]
-fn dead_server_rewrite_still_exits_zero() {
-    // A --store-url pointing at a dead server must only cost cache
-    // misses: same exit code and same output bytes as a storeless run.
+fn unknown_flags_and_removed_surfaces_are_usage_errors() {
+    // A misspelt flag must not run the command with the flag ignored:
+    // `--cache-dri` used to rewrite storeless and exit 1.
     let raw = gen_switch_demo();
-    let rw = tmp("dead-srv.json");
-    let rw2 = tmp("dead-srv2.json");
+    let store = tmp("typo-store");
+    let rw = tmp("typo.json");
     let out = icfgp()
         .args(["rewrite"])
         .arg(&raw)
-        .args(["--mode", "jt", "-o"])
+        .args(["--mode", "func-ptr", "--cache-dri"])
+        .arg(&store)
+        .arg("-o")
         .arg(&rw)
         .output()
         .expect("rewrite runs");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    // Port 9 (discard) on localhost: nothing is listening in CI.
-    let out = icfgp()
-        .args(["rewrite"])
-        .arg(&raw)
-        .args(["--mode", "jt", "--store-url", "icfgp://127.0.0.1:9", "-o"])
-        .arg(&rw2)
-        .output()
-        .expect("rewrite runs");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(
-        std::fs::read(&rw).unwrap(),
-        std::fs::read(&rw2).unwrap(),
-        "a dead server must not change output bytes"
-    );
+    let err = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(out.status.code(), Some(64), "{err}");
+    assert!(err.contains("--cache-dri") && err.contains("USAGE"), "{err}");
+    assert!(!store.exists() && !rw.exists(), "a usage error must do no work");
+    // The remote store tier is gone: its flag, the network chaos
+    // domain and the server subcommand are all unknown now, and so is
+    // any other cache subcommand.
+    let cases: [&[&str]; 4] = [
+        &["rewrite", "x.json", "--store-url", "icfgp://127.0.0.1:9", "-o", "y.json"],
+        &["chaos", "--net"],
+        &["cache", "serve", "127.0.0.1:0", "--cache-dir", "d"],
+        &["cache", "bogus", "--cache-dir", "d"],
+    ];
+    for args in cases {
+        let out = icfgp().args(args).output().expect("runs");
+        assert_eq!(
+            out.status.code(),
+            Some(64),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
     let _ = std::fs::remove_file(&raw);
-    let _ = std::fs::remove_file(&rw);
-    let _ = std::fs::remove_file(&rw2);
+}
+
+#[test]
+fn overlapping_function_symbols_are_rejected_at_load() {
+    // Widen one firefox function into its neighbour: every subcommand
+    // that loads the binary must refuse it (exit 3), not analyse or
+    // run it as if it were well formed.
+    let raw = tmp("ff.json");
+    let out = icfgp()
+        .args(["gen", "--workload", "firefox", "-o"])
+        .arg(&raw)
+        .output()
+        .expect("gen runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut binary: incremental_cfg_patching::obj::Binary =
+        serde_json::from_slice(&std::fs::read(&raw).unwrap()).unwrap();
+    let funcs: Vec<(u64, u64)> =
+        binary.functions().filter(|f| f.size > 0).map(|f| (f.addr, f.size)).collect();
+    let (victim, next) = funcs
+        .windows(2)
+        .map(|w| (w[0], w[1]))
+        .find(|(a, b)| a.0 + a.1 <= b.0)
+        .expect("two adjacent functions");
+    for s in binary.symbols_mut().iter_mut().filter(|s| (s.addr, s.size) == victim) {
+        s.size = next.0 + 4 - s.addr;
+    }
+    let bad = tmp("ff-overlap.json");
+    std::fs::write(&bad, serde_json::to_vec(&binary).unwrap()).unwrap();
+    let rw = tmp("ff-overlap.rw.json");
+    let commands: [Vec<std::ffi::OsString>; 3] = [
+        vec!["analyze".into(), bad.clone().into()],
+        vec!["rewrite".into(), bad.clone().into(), "--mode".into(), "jt".into(), "-o".into(),
+            rw.clone().into()],
+        vec!["run".into(), bad.clone().into()],
+    ];
+    for args in commands {
+        let out = icfgp().args(&args).output().expect("runs");
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert_eq!(out.status.code(), Some(3), "{args:?}: {err}");
+        assert!(err.contains("overlap"), "{args:?}: {err}");
+    }
+    assert!(!rw.exists(), "a rejected input must produce no output");
+    let _ = std::fs::remove_file(&raw);
+    let _ = std::fs::remove_file(&bad);
 }
 
 #[test]

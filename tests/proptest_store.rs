@@ -13,7 +13,7 @@
 use incremental_cfg_patching::core::cache::recode_record;
 use incremental_cfg_patching::core::{
     store, CacheStore, CorruptKind, Instrumentation, Points, RewriteCache, RewriteConfig,
-    RewriteMode, Rewriter, Stage, StoreOp, StoreSrc, Trace, TraceEvent,
+    RewriteMode, Rewriter, Stage, StoreOp, Trace, TraceEvent,
 };
 use incremental_cfg_patching::isa::Arch;
 use incremental_cfg_patching::workloads::{generate, GenParams};
@@ -344,7 +344,7 @@ proptest! {
             std::fs::write(dir.join("seg-000000.seg"), segment(store::FORMAT_VERSION, &damaged))
                 .expect("write segment");
             let store = CacheStore::open_traced(
-                &dir, Duration::from_secs(2), Trace::recording(), StoreSrc::Local,
+                &dir, Duration::from_secs(2), Trace::recording(),
             );
             let cache = RewriteCache::with_store(Arc::new(store));
             let warm = rw.rewrite_cached(&binary, &instr, &cache)
