@@ -67,12 +67,10 @@ pub mod dynamic;
 mod fault;
 pub mod gate;
 mod instrument;
-pub mod journal;
 mod placement;
 pub mod pool;
 mod relocate;
 mod report;
-pub mod retry;
 mod rewriter;
 pub mod store;
 pub mod trace;
@@ -88,13 +86,11 @@ pub use config::{
     UnwindStrategy,
 };
 pub use fault::FaultPlan;
-pub use journal::{config_fingerprint, JournalReplay, RunJournal};
 pub use gate::{apply_audit_gate, audit_mode_of, reach_check_of, GateSummary};
 pub use instrument::{Instrumentation, Payload, Points};
 pub use placement::{Patch, PlacedTrampoline, PlacementPlan, ScratchPool, TrampolineKind};
 pub use relocate::{table_cloneable, RelocatedCode};
 pub use report::{RewriteReport, SkipReason};
-pub use retry::{RetryPolicy, Transience};
 pub use rewriter::{CloneSummary, RewriteArtifacts, RewriteError, RewriteOutcome, Rewriter};
 pub use store::{
     CacheStore, CompactReport, CorruptKind, RecordBytes, Stage, StoreEvent,

@@ -359,6 +359,27 @@ impl FaultRng {
     }
 }
 
+/// Total attempts, the first included, at a transiently failing store
+/// operation (a short read, lock contention) before the one-shot
+/// fallback: accept the torn view, or defer the flush.
+const RETRY_ATTEMPTS: u32 = 3;
+/// Backoff before the first retry, in milliseconds; doubles per retry.
+const RETRY_BASE_MS: u64 = 2;
+/// Upper bound on any one backoff, in milliseconds.
+const RETRY_MAX_MS: u64 = 50;
+
+/// The backoff slept before retry `attempt` (1-based): exponential from
+/// [`RETRY_BASE_MS`], capped at [`RETRY_MAX_MS`], with ±50% jitter from
+/// a fixed splitmix64 stream, so the schedule is deterministic.
+fn retry_delay_ms(attempt: u32) -> u64 {
+    let capped = (RETRY_BASE_MS.saturating_mul(1 << attempt.min(16)) / 2).min(RETRY_MAX_MS);
+    if capped == 0 {
+        return 0;
+    }
+    let draw = FaultRng(u64::from(attempt) << 32).next() % capped;
+    (capped / 2 + draw).min(RETRY_MAX_MS)
+}
+
 /// One verified record payload: a shared, read-only view into the
 /// buffer it arrived in (a loaded segment or the encoder's own
 /// output). Cloning bumps a reference count; the bytes are never
@@ -760,8 +781,6 @@ impl CacheStore {
         let path = self.dir.join(name);
         // Short reads are transient: re-read up to the retry budget
         // before accepting a torn view of the segment.
-        let policy = crate::retry::RetryPolicy::default();
-        let attempts = policy.max_attempts.max(1);
         let mut attempt = 0;
         let data = loop {
             let mut data = match std::fs::read(&path) {
@@ -787,7 +806,7 @@ impl CacheStore {
                 }
             };
             let Some(keep) = short else { break data };
-            if attempt + 1 >= attempts {
+            if attempt + 1 >= RETRY_ATTEMPTS {
                 data.truncate(keep);
                 self.event(
                     StoreEventKind::FaultInjected,
@@ -801,7 +820,7 @@ impl CacheStore {
                 StoreEventKind::FaultInjected,
                 format!("short read of {name}: re-reading (attempt {})", attempt + 1),
             );
-            let delay = policy.delay_ms(attempt);
+            let delay = retry_delay_ms(attempt);
             if delay > 0 {
                 std::thread::sleep(Duration::from_millis(delay));
             }
@@ -919,10 +938,8 @@ impl CacheStore {
     /// the store is read-only, or a failure deferred the flush
     /// (records stay pending — never lost, never torn). Transient
     /// failures — lock contention, I/O errors — are retried with
-    /// jittered backoff up to the [`RetryPolicy`] attempt budget
-    /// before deferring.
-    ///
-    /// [`RetryPolicy`]: crate::retry::RetryPolicy
+    /// jittered backoff, `RETRY_ATTEMPTS` attempts in all, before
+    /// deferring.
     pub fn flush(&self) -> usize {
         if self.disabled || !self.writer {
             return 0;
@@ -931,21 +948,19 @@ impl CacheStore {
             return 0;
         }
         let span = self.trace.span(SpanKind::StoreFlush);
-        let policy = crate::retry::RetryPolicy::default();
-        let attempts = policy.max_attempts.max(1);
         let mut flushed = 0;
-        for attempt in 0..attempts {
+        for attempt in 0..RETRY_ATTEMPTS {
             match self.flush_once() {
                 FlushOnce::Done(n) => {
                     flushed = n;
                     break;
                 }
                 FlushOnce::Transient => {
-                    if attempt + 1 == attempts {
+                    if attempt + 1 == RETRY_ATTEMPTS {
                         break; // budget exhausted: defer to a later flush
                     }
                     self.emit(StoreOp::Retry);
-                    let delay = policy.delay_ms(attempt + 1);
+                    let delay = retry_delay_ms(attempt + 1);
                     if delay > 0 {
                         std::thread::sleep(Duration::from_millis(delay));
                     }
@@ -1144,69 +1159,16 @@ fn write_index_file(dir: &Path) -> std::io::Result<()> {
     write_atomic(dir, "INDEX", &json)
 }
 
-fn encode_record(out: &mut Vec<u8>, stage: Stage, key: u64, payload: &[u8]) {
-    encode_frame(out, stage.tag(), key, payload);
-}
-
 /// Append one checksummed record frame (`tag ‖ key ‖ len ‖ checksum ‖
-/// payload`, all little-endian) — the framing shared by store segments
-/// and run journals.
-pub(crate) fn encode_frame(out: &mut Vec<u8>, tag: u8, key: u64, payload: &[u8]) {
+/// payload`, all little-endian).
+fn encode_record(out: &mut Vec<u8>, stage: Stage, key: u64, payload: &[u8]) {
+    let tag = stage.tag();
     out.push(tag);
     out.extend_from_slice(&key.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     let sum = checksum64(&[&[tag], &key.to_le_bytes(), payload]);
     out.extend_from_slice(&sum.to_le_bytes());
     out.extend_from_slice(payload);
-}
-
-/// Result of [`scan_frames`]: validated frames plus damage counts.
-pub(crate) struct FrameScan {
-    /// `(tag, key, payload range)` for every checksum-valid frame, in
-    /// order; ranges index the scanned buffer.
-    pub frames: Vec<(u8, u64, Range<usize>)>,
-    /// Frames with intact framing but a failed checksum (skipped).
-    pub corrupt: u64,
-    /// The tail was dropped: short frame, unknown tag, or implausible
-    /// length — framing is untrustworthy past that point.
-    pub truncated: bool,
-}
-
-/// Scan `data` (any file header already stripped by the caller) as a
-/// sequence of checksummed frames. `valid_tag` bounds the tag space:
-/// an unknown tag ends the scan, because framing past it cannot be
-/// trusted.
-pub(crate) fn scan_frames(data: &[u8], valid_tag: impl Fn(u8) -> bool) -> FrameScan {
-    let mut frames = Vec::new();
-    let mut corrupt = 0u64;
-    let mut truncated = false;
-    let mut at = 0usize;
-    while at < data.len() {
-        if data.len() - at < FRAME_LEN {
-            truncated = true;
-            break;
-        }
-        let tag = data[at];
-        let key = u64::from_le_bytes(data[at + 1..at + 9].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(data[at + 9..at + 13].try_into().expect("4 bytes"));
-        let sum = u64::from_le_bytes(data[at + 13..at + 21].try_into().expect("8 bytes"));
-        if !valid_tag(tag) {
-            truncated = true;
-            break;
-        }
-        if len > MAX_PAYLOAD || data.len() - at - FRAME_LEN < len as usize {
-            truncated = true;
-            break;
-        }
-        let range = at + FRAME_LEN..at + FRAME_LEN + len as usize;
-        if checksum64(&[&[tag], &key.to_le_bytes(), &data[range.clone()]]) == sum {
-            frames.push((tag, key, range));
-        } else {
-            corrupt += 1;
-        }
-        at += FRAME_LEN + len as usize;
-    }
-    FrameScan { frames, corrupt, truncated }
 }
 
 enum SegmentScan {
@@ -1241,16 +1203,36 @@ fn scan_segment(data: &[u8]) -> SegmentScan {
     if epoch != KEY_EPOCH {
         return SegmentScan::BadHeader(format!("key epoch {epoch} (expected {KEY_EPOCH})"));
     }
-    let scan = scan_frames(&data[HEADER_LEN..], |tag| Stage::from_tag(tag).is_some());
-    let records = scan
-        .frames
-        .into_iter()
-        .map(|(tag, key, range)| {
-            let stage = Stage::from_tag(tag).expect("tag validated by scan_frames");
-            (stage, key, range.start + HEADER_LEN..range.end + HEADER_LEN)
-        })
-        .collect();
-    SegmentScan::Records { records, corrupt_records: scan.corrupt, truncated: scan.truncated }
+    let mut records = Vec::new();
+    let mut corrupt_records = 0u64;
+    let mut truncated = false;
+    let mut at = HEADER_LEN;
+    while at < data.len() {
+        if data.len() - at < FRAME_LEN {
+            truncated = true;
+            break;
+        }
+        let tag = data[at];
+        let key = u64::from_le_bytes(data[at + 1..at + 9].try_into().expect("8 bytes"));
+        let len = u32::from_le_bytes(data[at + 9..at + 13].try_into().expect("4 bytes"));
+        let sum = u64::from_le_bytes(data[at + 13..at + 21].try_into().expect("8 bytes"));
+        let Some(stage) = Stage::from_tag(tag) else {
+            truncated = true;
+            break;
+        };
+        if len > MAX_PAYLOAD || data.len() - at - FRAME_LEN < len as usize {
+            truncated = true;
+            break;
+        }
+        let range = at + FRAME_LEN..at + FRAME_LEN + len as usize;
+        if checksum64(&[&[tag], &key.to_le_bytes(), &data[range.clone()]]) == sum {
+            records.push((stage, key, range));
+        } else {
+            corrupt_records += 1;
+        }
+        at += FRAME_LEN + len as usize;
+    }
+    SegmentScan::Records { records, corrupt_records, truncated }
 }
 
 // ----- offline maintenance (icfgp cache …) -------------------------------
@@ -1643,6 +1625,14 @@ mod tests {
             .join(format!("icfgp-store-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn retry_backoff_schedule_is_pinned() {
+        // Exponential from 2 ms, capped at 50 ms, ±50% fixed jitter.
+        let schedule: Vec<u64> = (1..=7).map(retry_delay_ms).collect();
+        assert_eq!(schedule, [1, 4, 7, 23, 26, 50, 50]);
+        assert_eq!(RETRY_ATTEMPTS, 3);
     }
 
     #[test]

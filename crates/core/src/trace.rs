@@ -5,7 +5,7 @@
 //! counter sections, `bench-rewrite` stage timings — is a *projection*
 //! of one stream of typed [`TraceEvent`]s collected by a shared
 //! [`Trace`]. Subsystems emit events (cache hit/miss/quarantine,
-//! store flush, retry, ladder demotion, journal append) and open
+//! store flush, retry, ladder demotion) and open
 //! structural [`SpanKind`] spans (run, round, rewrite, pipeline stage,
 //! store flush); the [`Registry`] folds the
 //! stream into counters as it arrives and derives every legacy stats
@@ -215,11 +215,6 @@ pub enum TraceEvent {
         /// Mode after the demotion.
         to: String,
     },
-    /// A supervision journal round was appended.
-    JournalAppend {
-        /// 1-based round number.
-        round: u32,
-    },
     /// A persistent-store operation.
     Store {
         /// The operation.
@@ -333,7 +328,6 @@ struct RegistryInner {
     decode_ns: [u64; 5],
     store: StoreCtr,
     demotions: u64,
-    journal_appends: u64,
     /// Per-function `(entry, ns)` samples from [`TraceEvent::FuncSpan`];
     /// the `slowest:` line is derived from the per-rewrite suffix.
     func_samples: Vec<(u64, u64)>,
@@ -380,7 +374,6 @@ impl RegistryInner {
                 self.rounds += u64::from(*rounds);
             }
             TraceEvent::Demotion { .. } => self.demotions += 1,
-            TraceEvent::JournalAppend { .. } => self.journal_appends += 1,
             TraceEvent::Store { op } => {
                 let c = &mut self.store;
                 match op {
@@ -818,7 +811,6 @@ fn render_text_line(ev: &TraceEvent) -> String {
         TraceEvent::Demotion { entry, round, from, to } => {
             format!("demote {entry:#x} {from} -> {to} (round {round})")
         }
-        TraceEvent::JournalAppend { round } => format!("journal append (round {round})"),
         TraceEvent::Store { op } => format!("store {op:?}"),
     }
 }
@@ -832,7 +824,7 @@ pub fn canonical_lines(events: &[TraceEvent]) -> Vec<String> {
     events.iter().map(|e| e.canonical().to_json()).collect()
 }
 
-/// The structural projection: span tree plus ladder/journal events,
+/// The structural projection: span tree plus ladder demotions,
 /// with every cache-dependent record (lookups, memo consults, store
 /// operations, leaf spans) removed and timings zeroed. Warm and cold
 /// runs of the same input agree on this projection — they take
@@ -847,7 +839,6 @@ pub fn structural_lines(events: &[TraceEvent]) -> Vec<String> {
                 TraceEvent::SpanOpen { .. }
                     | TraceEvent::SpanClose { .. }
                     | TraceEvent::Demotion { .. }
-                    | TraceEvent::JournalAppend { .. }
             )
         })
         .map(|e| e.canonical().to_json())
@@ -997,11 +988,8 @@ impl TraceSummary {
                 s.lock_timeouts
             ));
         }
-        if r.demotions + r.journal_appends > 0 {
-            out.push_str(&format!(
-                "ladder: {} demotion(s), {} journal append(s)\n",
-                r.demotions, r.journal_appends
-            ));
+        if r.demotions > 0 {
+            out.push_str(&format!("ladder: {} demotion(s)\n", r.demotions));
         }
 
         let violations = self.violations();
@@ -1054,7 +1042,6 @@ pub fn render_diff(a: &TraceSummary, b: &TraceSummary) -> String {
     row("store.local.flushed", sa.flushed_records, sb.flushed_records);
     row("store.local.retries", sa.retries, sb.retries);
     row("ladder.demotions", a.inner.demotions, b.inner.demotions);
-    row("journal.appends", a.inner.journal_appends, b.inner.journal_appends);
     for i in 0..SPAN_N {
         row(
             &format!("span.{}.opens", SpanKind::name(i)),
@@ -1163,7 +1150,6 @@ mod tests {
                 from: "func-ptr".to_string(),
                 to: "jt".to_string(),
             },
-            TraceEvent::JournalAppend { round: 2 },
             TraceEvent::Store { op: StoreOp::Flushed { records: 7 } },
             TraceEvent::Store { op: StoreOp::Lookup { stage: Stage::Emit } },
         ];

@@ -63,6 +63,12 @@ pub enum ObjError {
     /// Two function symbols claim intersecting address ranges (and
     /// are not aliases: same address, same size).
     OverlappingFunctions { a: u64, b: u64 },
+    /// A non-empty function symbol's range wraps the address space or
+    /// does not lie inside one executable section.
+    FunctionOutOfBounds { addr: u64, size: u64 },
+    /// A symbol's address is below its predecessor's: the symbol table
+    /// is not sorted by address.
+    UnsortedSymbols { addr: u64 },
     /// A read or write touched an address no section maps.
     Unmapped { addr: u64 },
     /// A named section does not exist.
@@ -77,6 +83,14 @@ impl fmt::Display for ObjError {
             }
             ObjError::OverlappingFunctions { a, b } => {
                 write!(f, "function symbols at {a:#x} and {b:#x} overlap")
+            }
+            ObjError::FunctionOutOfBounds { addr, size } => write!(
+                f,
+                "function symbol at {addr:#x} (size {size:#x}) does not lie inside one \
+                 executable section"
+            ),
+            ObjError::UnsortedSymbols { addr } => {
+                write!(f, "symbol at {addr:#x} is out of address order")
             }
             ObjError::Unmapped { addr } => write!(f, "address {addr:#x} is not mapped"),
             ObjError::NoSuchSection { name } => write!(f, "no section named {name}"),
@@ -237,15 +251,17 @@ impl Binary {
             .sum()
     }
 
-    /// Verify that no two allocated sections overlap and that no two
-    /// function symbols claim intersecting ranges. Aliases (same
-    /// address, same size) and empty symbols are allowed.
+    /// Verify that no two allocated sections overlap, that symbols are
+    /// sorted by address, that every non-empty function symbol lies
+    /// inside one executable section, and that no two function symbols
+    /// claim intersecting ranges. Aliases (same address, same size) and
+    /// empty symbols are allowed.
     ///
     /// # Errors
     ///
-    /// [`ObjError::OverlappingSections`] or
-    /// [`ObjError::OverlappingFunctions`] naming the first offending
-    /// pair.
+    /// The first violation found: [`ObjError::OverlappingSections`],
+    /// [`ObjError::UnsortedSymbols`], [`ObjError::FunctionOutOfBounds`]
+    /// or [`ObjError::OverlappingFunctions`].
     pub fn validate_layout(&self) -> Result<(), ObjError> {
         let mut ranges: Vec<&Section> =
             self.sections.iter().filter(|s| s.flags().alloc && !s.is_empty()).collect();
@@ -256,6 +272,19 @@ impl Binary {
                     a: w[0].name().to_string(),
                     b: w[1].name().to_string(),
                 });
+            }
+        }
+        if let Some(w) = self.symbols.windows(2).find(|w| w[1].addr < w[0].addr) {
+            return Err(ObjError::UnsortedSymbols { addr: w[1].addr });
+        }
+        for s in self.functions().filter(|s| s.size > 0) {
+            let inside = s.addr.checked_add(s.size).is_some_and(|end| {
+                self.sections
+                    .iter()
+                    .any(|sec| sec.flags().exec && sec.addr() <= s.addr && end <= sec.end())
+            });
+            if !inside {
+                return Err(ObjError::FunctionOutOfBounds { addr: s.addr, size: s.size });
             }
         }
         // Symbols are sorted by address, so each function need only be
@@ -483,6 +512,28 @@ mod tests {
             b.validate_layout(),
             Err(ObjError::OverlappingFunctions { a: 0x1080, b: 0x10C0 })
         );
+    }
+
+    #[test]
+    fn out_of_bounds_and_unsorted_symbols_are_rejected() {
+        // A size that wraps the address space.
+        let mut wrap = bin();
+        wrap.symbols_mut().iter_mut().find(|s| s.name == "b").unwrap().size = u64::MAX;
+        assert_eq!(
+            wrap.validate_layout(),
+            Err(ObjError::FunctionOutOfBounds { addr: 0x1080, size: u64::MAX })
+        );
+        // A function in a non-executable section.
+        let mut data = bin();
+        data.add_symbol(Symbol::func("in_rodata", 0x2000, 0x10, Language::C));
+        assert_eq!(
+            data.validate_layout(),
+            Err(ObjError::FunctionOutOfBounds { addr: 0x2000, size: 0x10 })
+        );
+        // Out of address order: reported as such, not as an overlap.
+        let mut unsorted = bin();
+        unsorted.symbols_mut().swap(0, 1);
+        assert_eq!(unsorted.validate_layout(), Err(ObjError::UnsortedSymbols { addr: 0x1000 }));
     }
 
     #[test]

@@ -140,10 +140,11 @@ impl Section {
         self.addr = addr;
     }
 
-    /// One-past-the-end virtual address.
+    /// One-past-the-end virtual address (saturating: a section that
+    /// would wrap the address space ends at `u64::MAX`).
     #[must_use]
     pub fn end(&self) -> u64 {
-        self.addr + self.data.len() as u64
+        self.addr.saturating_add(self.data.len() as u64)
     }
 
     /// Section size in bytes.
@@ -197,24 +198,28 @@ impl Section {
         addr >= self.addr && addr < self.end()
     }
 
-    /// Read `len` bytes at virtual address `addr`.
-    #[must_use]
-    pub fn read(&self, addr: u64, len: usize) -> Option<&[u8]> {
-        if !self.contains(addr) || addr + len as u64 > self.end() {
+    /// The data offsets of `len` bytes at virtual address `addr`, or
+    /// `None` when the range starts or ends outside the section.
+    fn range(&self, addr: u64, len: usize) -> Option<std::ops::Range<usize>> {
+        let end = addr.checked_add(u64::try_from(len).ok()?)?;
+        if !self.contains(addr) || end > self.end() {
             return None;
         }
         let off = (addr - self.addr) as usize;
-        Some(&self.data[off..off + len])
+        Some(off..off + len)
+    }
+
+    /// Read `len` bytes at virtual address `addr`.
+    #[must_use]
+    pub fn read(&self, addr: u64, len: usize) -> Option<&[u8]> {
+        self.range(addr, len).map(|r| &self.data[r])
     }
 
     /// Overwrite bytes at virtual address `addr`. Returns `false` when
     /// the range falls outside the section.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> bool {
-        if !self.contains(addr) || addr + bytes.len() as u64 > self.end() {
-            return false;
-        }
-        let off = (addr - self.addr) as usize;
-        self.data[off..off + bytes.len()].copy_from_slice(bytes);
+        let Some(r) = self.range(addr, bytes.len()) else { return false };
+        self.data[r].copy_from_slice(bytes);
         true
     }
 }
@@ -262,6 +267,13 @@ mod tests {
         assert!(!s.write(0x100E, &[9, 9, 9]));
         assert_eq!(s.read(0x100E, 2), Some(&[0xAA, 0xAA][..]));
         assert_eq!(s.read(0x100E, 3), None);
+        // Lengths that would wrap the address space are out of bounds,
+        // not a panic.
+        assert_eq!(s.read(0x1004, usize::MAX), None);
+        let wrapping =
+            Section::new(".hi", u64::MAX - 3, vec![0; 16], SectionFlags::exec(), SectionKind::Text);
+        assert_eq!(wrapping.end(), u64::MAX);
+        assert_eq!(wrapping.read(u64::MAX - 1, 8), None);
     }
 
     #[test]

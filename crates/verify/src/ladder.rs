@@ -25,7 +25,6 @@
 
 use crate::{verify_rewrite, VerifyError, VerifyReport};
 use icfgp_cfg::AnalysisFailure;
-use icfgp_core::journal::{JournalDemotion, JournalReplay, RoundRecord, RunJournal};
 use icfgp_core::{
     apply_audit_gate, FuncMode, GateSummary, Instrumentation, RewriteCache, RewriteConfig,
     RewriteError, RewriteOutcome, RewriteStats, Rewriter, SkipReason, SpanKind, TraceEvent,
@@ -89,11 +88,6 @@ pub struct LadderOutcome {
     /// the audit verdicts and every starting rung the gate installed
     /// before round one.
     pub gate: Option<GateSummary>,
-    /// Rounds replayed from a journal instead of executed (0 for a
-    /// cold run). `rounds` includes them, so a resumed run reports the
-    /// same total as its uninterrupted twin while having executed only
-    /// `rounds - resumed_rounds` of them.
-    pub resumed_rounds: usize,
 }
 
 impl LadderOutcome {
@@ -125,14 +119,12 @@ pub enum LadderError {
         /// The error diagnostics that remained.
         remaining_errors: Vec<String>,
     },
-    /// The run was deliberately aborted by the supervisor's
-    /// [`Supervisor::abort_after_rounds`] knob after journaling and
-    /// flushing — the chaos kill campaign's in-process stand-in for
-    /// SIGKILL at a journal boundary. Resume with the journal to
-    /// finish the run.
+    /// The run was stopped by [`rewrite_with_ladder_stopping_after`]
+    /// after a round's store flush — the chaos kill domain's
+    /// in-process stand-in for SIGKILL at a round boundary. Re-run
+    /// over the same store to finish the run.
     Interrupted {
-        /// Total rounds journaled (replayed + executed) before the
-        /// abort.
+        /// Rounds executed and flushed before the stop.
         rounds: usize,
     },
 }
@@ -149,7 +141,7 @@ impl fmt::Display for LadderError {
             ),
             LadderError::Interrupted { rounds } => write!(
                 f,
-                "run interrupted after {rounds} journaled round(s); resume to finish"
+                "run interrupted after {rounds} flushed round(s); re-run to finish"
             ),
         }
     }
@@ -207,52 +199,36 @@ pub fn rewrite_with_ladder_cached(
     instr: &Instrumentation,
     cache: &RewriteCache,
 ) -> Result<LadderOutcome, LadderError> {
-    rewrite_with_ladder_supervised(binary, config, instr, cache, &Supervisor::default())
+    run_ladder(binary, config, instr, cache, None)
 }
 
-/// Supervision controls for [`rewrite_with_ladder_supervised`]. The
-/// default supervisor journals nothing, resumes nothing, and never
-/// aborts — identical to [`rewrite_with_ladder_cached`].
-#[derive(Debug, Default)]
-pub struct Supervisor<'a> {
-    /// Append one [`RoundRecord`] per completed round (after the
-    /// round's store flush) and a completion record at the end.
-    /// Journal I/O failures are absorbed — supervision is best-effort
-    /// and must never fail an otherwise sound rewrite.
-    pub journal: Option<&'a RunJournal>,
-    /// Replay these journaled rounds instead of executing them: their
-    /// demotions are applied to the starting configuration and their
-    /// steps folded into the dispositions, so a resumed run converges
-    /// to byte-identical output and identical [`FuncDisposition`]s.
-    /// The caller is responsible for fingerprint-matching the journal
-    /// to `(binary, config)` first.
-    pub resume: Option<&'a JournalReplay>,
-    /// Abort with [`LadderError::Interrupted`] after this many rounds
-    /// have been executed *in this process* — each already journaled
-    /// and flushed, so the abort lands exactly at a journal boundary
-    /// (the chaos kill campaign's deterministic stand-in for SIGKILL).
-    pub abort_after_rounds: Option<usize>,
-}
-
-/// [`rewrite_with_ladder_cached`] under a [`Supervisor`]: per-round
-/// journaling + store flushing, resume-from-journal, and deterministic
-/// abort for kill campaigns.
-///
-/// Every round — not just the clean last one — flushes the attached
-/// store before its journal record is written, so a run killed at any
-/// journal boundary leaves a warm store and a resumed run re-does
-/// strictly less work than a cold one.
+/// [`rewrite_with_ladder_cached`] that stops with
+/// [`LadderError::Interrupted`] once `rounds` rounds have run without
+/// converging. Every round flushes the attached store before the stop,
+/// so the stop leaves the disk state a kill at that round boundary
+/// would, and a plain re-run over the same store finishes the run
+/// from store hits. A ladder that converges within `rounds` returns
+/// its outcome as usual.
 ///
 /// # Errors
 ///
-/// As [`rewrite_with_ladder`], plus [`LadderError::Interrupted`] when
-/// the supervisor's abort knob fires.
-pub fn rewrite_with_ladder_supervised(
+/// As [`rewrite_with_ladder`], plus [`LadderError::Interrupted`].
+pub fn rewrite_with_ladder_stopping_after(
     binary: &Binary,
     config: &RewriteConfig,
     instr: &Instrumentation,
     cache: &RewriteCache,
-    supervisor: &Supervisor<'_>,
+    rounds: usize,
+) -> Result<LadderOutcome, LadderError> {
+    run_ladder(binary, config, instr, cache, Some(rounds))
+}
+
+fn run_ladder(
+    binary: &Binary,
+    config: &RewriteConfig,
+    instr: &Instrumentation,
+    cache: &RewriteCache,
+    stop_after: Option<usize>,
 ) -> Result<LadderOutcome, LadderError> {
     let mut cfg = config.clone();
     cfg.collect_artifacts = true;
@@ -268,24 +244,8 @@ pub fn rewrite_with_ladder_supervised(
     let mut steps: BTreeMap<u64, Vec<LadderStep>> = BTreeMap::new();
     let mut round_stats: Vec<RewriteStats> = Vec::new();
 
-    // Replay journaled rounds: the demotions they recorded are applied
-    // up front (over the gate's starting rungs, exactly as the
-    // interrupted run applied them), and the loop continues from the
-    // next round number.
-    let replayed = supervisor.resume.map_or(0, |r| r.rounds.len());
-    if let Some(replay) = supervisor.resume {
-        for d in replay.demotions() {
-            steps.entry(d.entry).or_default().push(LadderStep {
-                from: d.from,
-                to: d.to,
-                reason: d.reason.clone(),
-            });
-            cfg.func_modes.insert(d.entry, d.to);
-        }
-    }
-
     let trace = cache.trace();
-    for round in replayed + 1..=MAX_ROUNDS {
+    for round in 1..=MAX_ROUNDS {
         let round_span = trace.span(SpanKind::Round { round: round as u32 });
         let outcome = Rewriter::new(cfg.clone()).rewrite_cached(binary, instr, cache)?;
         round_stats.push(outcome.stats);
@@ -296,28 +256,8 @@ pub fn rewrite_with_ladder_supervised(
             // later process starts warm even if this one never exits
             // cleanly.
             cache.flush_store();
-            if let Some(journal) = supervisor.journal {
-                // The clean round gets a (demotion-free) record of its
-                // own before the completion marker, so a journal's
-                // round count always matches the run's and a load can
-                // cross-check the completion record against it.
-                let _ = journal
-                    .append_round(&RoundRecord { round: round as u32, demotions: Vec::new() });
-                trace.emit(TraceEvent::JournalAppend { round: round as u32 });
-                let _ = journal.append_complete(round as u32);
-            }
             round_span.close();
-            return Ok(finish(
-                config,
-                &cfg,
-                outcome,
-                verify,
-                steps,
-                round,
-                round_stats,
-                gate,
-                replayed,
-            ));
+            return Ok(finish(config, &cfg, outcome, verify, steps, round, round_stats, gate));
         }
 
         // Attribute each error to the function it belongs to.
@@ -366,24 +306,19 @@ pub fn rewrite_with_ladder_supervised(
         // Lower each victim one rung; a victim already at skip cannot
         // go lower.
         let mut lowered = false;
-        let mut demotions: Vec<JournalDemotion> = Vec::new();
         for (entry, reason) in victims {
             let cur = cfg.func_mode(entry);
             let Some(next) = cur.lower() else {
                 unattributed.push(format!("{entry:#x} already at {cur}, cannot lower: {reason}"));
                 continue;
             };
-            steps
-                .entry(entry)
-                .or_default()
-                .push(LadderStep { from: cur, to: next, reason: reason.clone() });
+            steps.entry(entry).or_default().push(LadderStep { from: cur, to: next, reason });
             trace.emit(TraceEvent::Demotion {
                 entry,
                 round: round as u32,
                 from: cur.to_string(),
                 to: next.to_string(),
             });
-            demotions.push(JournalDemotion { entry, from: cur, to: next, reason });
             cfg.func_modes.insert(entry, next);
             lowered = true;
         }
@@ -393,20 +328,12 @@ pub fn rewrite_with_ladder_supervised(
                 remaining_errors: unattributed,
             });
         }
-        // Persist the round's per-function results *before* journaling
-        // it: a journal record must never acknowledge work the store
-        // has not seen, or a resume would redo it (correct, but not
-        // "strictly fewer functions").
+        // Persist the round's per-function results, so a run killed
+        // after this round leaves a store that a re-run hits for all of
+        // the round's work.
         cache.flush_store();
-        if let Some(journal) = supervisor.journal {
-            let _ = journal.append_round(&RoundRecord {
-                round: round as u32,
-                demotions,
-            });
-            trace.emit(TraceEvent::JournalAppend { round: round as u32 });
-        }
         round_span.close();
-        if supervisor.abort_after_rounds.is_some_and(|k| round - replayed >= k) {
+        if stop_after.is_some_and(|k| round >= k) {
             return Err(LadderError::Interrupted { rounds: round });
         }
     }
@@ -428,7 +355,6 @@ fn finish(
     rounds: usize,
     round_stats: Vec<RewriteStats>,
     gate: Option<GateSummary>,
-    resumed_rounds: usize,
 ) -> LadderOutcome {
     let artifacts = outcome.artifacts.as_ref().expect("collect_artifacts forced on");
     let failures: BTreeMap<u64, AnalysisFailure> = outcome
@@ -487,7 +413,6 @@ fn finish(
         budget_exceeded,
         round_stats,
         gate,
-        resumed_rounds,
     }
 }
 

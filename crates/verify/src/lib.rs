@@ -52,8 +52,8 @@ mod tramps;
 
 pub use eval::{eval_sequence, SeqEffect, Transfer};
 pub use ladder::{
-    rewrite_with_ladder, rewrite_with_ladder_cached, rewrite_with_ladder_supervised,
-    FuncDisposition, LadderError, LadderOutcome, LadderStep, Supervisor, MAX_ROUNDS,
+    rewrite_with_ladder, rewrite_with_ladder_cached, rewrite_with_ladder_stopping_after,
+    FuncDisposition, LadderError, LadderOutcome, LadderStep, MAX_ROUNDS,
 };
 pub use report::{Check, Diagnostic, Severity, VerifyReport};
 

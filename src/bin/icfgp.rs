@@ -11,18 +11,18 @@
 
 use incremental_cfg_patching::audit::{render_text, to_sarif};
 use incremental_cfg_patching::chaos::{
-    parse_floor, run_campaign, run_kill_campaign, CampaignConfig, CaseStatus, KillCampaignConfig,
+    is_workload, run_campaign, CampaignConfig, FaultDomain, WORKLOADS,
 };
 use incremental_cfg_patching::cfg::{analyze, AnalysisConfig, FuncStatus};
 use incremental_cfg_patching::core::{
-    apply_audit_gate, audit_mode_of, binary_fingerprint, config_fingerprint, pool, store, trace,
-    CacheStore, CorruptKind, FaultPlan, Instrumentation, JsonlSink, Points, RewriteCache,
-    RewriteConfig, RewriteMode, RunJournal, SpanKind, Trace, UnwindStrategy,
+    apply_audit_gate, audit_mode_of, pool, store, trace, CacheStore, CorruptKind, FaultPlan,
+    FuncMode, Instrumentation, JsonlSink, Points, RewriteCache, RewriteConfig, RewriteMode,
+    SpanKind, Trace, UnwindStrategy,
 };
 use incremental_cfg_patching::emu::{run, LoadOptions, Outcome};
 use incremental_cfg_patching::isa::Arch;
 use incremental_cfg_patching::obj::Binary;
-use incremental_cfg_patching::verify::{rewrite_with_ladder_supervised, Supervisor};
+use incremental_cfg_patching::verify::rewrite_with_ladder_cached;
 use incremental_cfg_patching::workloads::{
     docker_like, driverlib_like, firefox_like, generate, spec_params, switch_demo, GenParams,
     SPEC_NAMES,
@@ -41,8 +41,7 @@ USAGE:
   icfgp analyze FILE
   icfgp audit FILE [--mode <dir|jt|func-ptr>] [--format <text|json|sarif>]
                    [--fault-seed N] [--intensity I] [--cache-dir DIR] [--trace FILE]
-  icfgp rewrite FILE [rewrite options] [--stats] [--quiet]
-                     [--journal FILE [--resume]] -o FILE
+  icfgp rewrite FILE [rewrite options] [--stats] [--quiet] -o FILE
   icfgp verify FILE [rewrite options] [--json]
   icfgp fleet FILES... [rewrite options] [--quiet]
   icfgp run FILE [--preload-runtime] [--bias HEX] [--fuel N]
@@ -62,7 +61,8 @@ rewrite options: --mode <dir|jt|func-ptr> [--unwind <ra|emulate|none>]
   [--floor <dir|jt|func-ptr|trap-only|skip>] [--budget FRAC]
   [--audit-gate] [--func-timeout-ms N] [--cache-dir DIR] [--trace FILE]
 
-An unknown command, flag or `cache` subcommand is a usage error (exit 64).
+An unknown command, flag or `cache` subcommand, and a malformed flag
+value, is a usage error (exit 64).
 
 `audit` runs the whole-binary static soundness audit (lint codes
 ICFGP-A001..A010, severity proven < over-approx < under-approx-risk <
@@ -84,7 +84,7 @@ values are rejected with exit code 64, as are non-integer
 
 `--trace FILE` (or `ICFGP_TRACE`) records the structured event spine
 — spans (run, rewrite, analysis rounds, store flushes), cache
-lookups, demotions, retries, journal appends — as newline-delimited
+lookups, demotions and retries — as newline-delimited
 JSON. The stream is sealed into a
 deterministic address-ordered form: bytes are identical for any
 `ICFGP_THREADS`, and rewriting output is identical with tracing on or
@@ -99,12 +99,12 @@ vs cold, for instance). `--quiet`/`-q` on `rewrite`, `fleet` and
 `--func-timeout-ms N` (or `ICFGP_FUNC_TIMEOUT_MS`) arms the
 per-function watchdog: a function whose analysis overruns the budget
 is skipped with a typed Budget failure and degrades through the
-ladder instead of hanging the run. `--journal FILE` records each
-ladder round durably; after a crash or kill, rerunning with
-`--resume` replays the journal and redoes only the unfinished rounds,
-producing byte-identical output. `chaos --kill-resume` sweeps every
-journal boundary of each case with a kill + resume and checks that
-oracle.
+ladder instead of hanging the run. Every ladder round flushes the
+`--cache-dir` store, so after a crash or kill, re-running the same
+command with the same `--cache-dir` serves the finished rounds from
+the store and produces byte-identical output. `chaos --kill-resume`
+kills every case at each ladder round boundary, re-runs it over the
+killed run's store and checks that oracle.
 
 `fleet` rewrites a batch of near-identical binaries over one shared
 warm cache store: fragment and emitted-code entries are keyed
@@ -126,7 +126,7 @@ damages a store for testing.
 EXIT CODES: 0 clean, 1 degraded within budget, 2 budget exceeded
 (chaos: any case failed), 3 internal error, 64 usage.
 
-Architectures: x86-64 (default), ppc64le, aarch64."
+Architectures: x86-64 (default; also x64), ppc64le, aarch64."
     );
     ExitCode::from(64)
 }
@@ -223,12 +223,102 @@ fn finish_cache(cache: &RewriteCache, quiet: bool) {
     );
 }
 
-fn parse_arch(args: &[String]) -> Arch {
-    match arg_value(args, "--arch").as_deref() {
-        Some("ppc64le") => Arch::Ppc64le,
-        Some("aarch64") => Arch::Aarch64,
-        _ => Arch::X64,
+/// Why a command failed: a usage error (exit 64) or an internal one
+/// (exit 3). Plain `String` errors are internal.
+enum Failure {
+    Usage(String),
+    Internal(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Failure {
+        Failure::Internal(e)
     }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Failure {
+        Failure::Internal(e.to_string())
+    }
+}
+
+/// The value of `flag`, if given, read by `parse`. A value `parse`
+/// rejects is a usage error that lists the `accepted` values.
+fn flag_value<T>(
+    args: &[String],
+    flag: &str,
+    accepted: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, Failure> {
+    let Some(v) = arg_value(args, flag) else { return Ok(None) };
+    parse(&v)
+        .map(Some)
+        .ok_or_else(|| Failure::Usage(format!("bad {flag} value `{v}`; expected {accepted}")))
+}
+
+// One parser per value-taking flag, shared by every subcommand.
+
+fn arch_flag(args: &[String]) -> Result<Option<Arch>, Failure> {
+    flag_value(args, "--arch", "x86-64|x64|ppc64le|aarch64", |s| match s {
+        "x86-64" | "x64" => Some(Arch::X64),
+        "ppc64le" => Some(Arch::Ppc64le),
+        "aarch64" => Some(Arch::Aarch64),
+        _ => None,
+    })
+}
+
+fn mode_flag(args: &[String]) -> Result<Option<RewriteMode>, Failure> {
+    flag_value(args, "--mode", "dir|jt|func-ptr", |s| {
+        [RewriteMode::Dir, RewriteMode::Jt, RewriteMode::FuncPtr]
+            .into_iter()
+            .find(|m| m.to_string() == s)
+    })
+}
+
+fn floor_flag(args: &[String]) -> Result<Option<FuncMode>, Failure> {
+    flag_value(args, "--floor", "dir|jt|func-ptr|trap-only|skip", |s| {
+        [
+            FuncMode::Full(RewriteMode::Dir),
+            FuncMode::Full(RewriteMode::Jt),
+            FuncMode::Full(RewriteMode::FuncPtr),
+            FuncMode::TrapOnly,
+            FuncMode::Skip,
+        ]
+        .into_iter()
+        .find(|f| f.to_string() == s)
+    })
+}
+
+fn intensity_flag(args: &[String]) -> Result<Option<String>, Failure> {
+    flag_value(args, "--intensity", "none|quiet|standard|aggressive", |s| {
+        FaultPlan::named(s, 0).map(|_| s.to_string())
+    })
+}
+
+fn budget_flag(args: &[String]) -> Result<Option<f64>, Failure> {
+    flag_value(args, "--budget", "a non-negative fraction such as 0.25", |s| {
+        s.parse::<f64>().ok().filter(|b| b.is_finite() && *b >= 0.0)
+    })
+}
+
+fn u64_flag(args: &[String], flag: &str) -> Result<Option<u64>, Failure> {
+    flag_value(args, flag, "an unsigned integer", |s| s.parse().ok())
+}
+
+fn workload_flag(args: &[String]) -> Result<Option<String>, Failure> {
+    let accepted = format!("{}|spec:NAME (see `icfgp list-workloads`)", WORKLOADS.join("|"));
+    flag_value(args, "--workload", &accepted, |s| is_workload(s).then(|| s.to_string()))
+}
+
+fn workloads_flag(args: &[String]) -> Result<Option<Vec<String>>, Failure> {
+    let accepted = format!(
+        "a comma-separated list of {}|spec:NAME (see `icfgp list-workloads`)",
+        WORKLOADS.join("|")
+    );
+    flag_value(args, "--workloads", &accepted, |s| {
+        let names: Vec<String> = s.split(',').map(str::to_string).collect();
+        names.iter().all(|n| is_workload(n)).then_some(names)
+    })
 }
 
 /// Read, parse and validate an input binary: every subcommand that
@@ -246,21 +336,15 @@ fn save_binary(binary: &Binary, path: &str) -> Result<(), String> {
     std::fs::write(path, data).map_err(|e| format!("writing {path}: {e}"))
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let arch = parse_arch(args);
+fn cmd_gen(args: &[String]) -> Result<(), Failure> {
+    let arch = arch_flag(args)?.unwrap_or(Arch::X64);
     let pie = has_flag(args, "--pie");
-    let seed = arg_value(args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let perturb: u64 = match arg_value(args, "--perturb") {
-        Some(p) => p.parse().map_err(|_| format!("bad --perturb {p}"))?,
-        None => 0,
-    };
+    let seed = u64_flag(args, "--seed")?.unwrap_or(1);
+    let perturb = u64_flag(args, "--perturb")?.unwrap_or(0);
+    let spec = workload_flag(args)?.unwrap_or_else(|| "small".to_string());
     let out = arg_value(args, "-o").ok_or("missing -o FILE")?;
-    let spec = arg_value(args, "--workload").unwrap_or_else(|| "small".to_string());
     let workload = if let Some(name) = spec.strip_prefix("spec:") {
-        let name = SPEC_NAMES
-            .iter()
-            .find(|n| **n == name)
-            .ok_or_else(|| format!("unknown benchmark {name}; try `icfgp list-workloads`"))?;
+        let name = SPEC_NAMES.iter().find(|n| **n == name).expect("validated by is_workload");
         let mut p = spec_params(name, arch, pie);
         p.perturb = perturb;
         generate(&p)
@@ -283,7 +367,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
             "docker" => docker_like(arch, seed, 100),
             "driverlib" => driverlib_like(arch, 400, 30).0,
             "switch_demo" | "switch-demo" => switch_demo(arch, pie),
-            other => return Err(format!("unknown workload {other}")),
+            other => unreachable!("{other} validated by is_workload"),
         }
     };
     save_binary(&workload.binary, &out)?;
@@ -296,7 +380,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
+fn cmd_analyze(args: &[String]) -> Result<(), Failure> {
     let path = args.first().ok_or("missing FILE")?;
     let binary = load_binary(path)?;
     let a = analyze(&binary, &AnalysisConfig::default());
@@ -317,58 +401,46 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse the rewrite options shared by `rewrite` and `verify`.
-fn parse_rewrite_config(args: &[String]) -> Result<(RewriteConfig, Points), String> {
-    let mode = match arg_value(args, "--mode").as_deref() {
-        Some("dir") => RewriteMode::Dir,
-        Some("func-ptr") => RewriteMode::FuncPtr,
-        _ => RewriteMode::Jt,
-    };
-    let mut config = RewriteConfig::new(mode);
-    config.unwind = match arg_value(args, "--unwind").as_deref() {
-        Some("emulate") => UnwindStrategy::CallEmulation,
-        Some("none") => UnwindStrategy::None,
-        _ => UnwindStrategy::RaTranslation,
-    };
+/// Parse the rewrite options shared by `rewrite`, `verify`, `fleet`
+/// and `audit`.
+fn parse_rewrite_config(args: &[String]) -> Result<(RewriteConfig, Points), Failure> {
+    let mut config = RewriteConfig::new(mode_flag(args)?.unwrap_or(RewriteMode::Jt));
+    config.unwind = flag_value(args, "--unwind", "ra|emulate|none", |s| match s {
+        "ra" => Some(UnwindStrategy::RaTranslation),
+        "emulate" => Some(UnwindStrategy::CallEmulation),
+        "none" => Some(UnwindStrategy::None),
+        _ => None,
+    })?
+    .unwrap_or(UnwindStrategy::RaTranslation);
     if has_flag(args, "--no-poison") {
         config.poison_text = false;
     }
-    if let Some(seed) = arg_value(args, "--fault-seed") {
-        let seed: u64 = seed.parse().map_err(|_| format!("bad --fault-seed {seed}"))?;
-        let intensity =
-            arg_value(args, "--intensity").unwrap_or_else(|| "standard".to_string());
-        config.fault_plan = Some(
-            FaultPlan::named(&intensity, seed)
-                .ok_or_else(|| format!("unknown --intensity {intensity}"))?,
-        );
+    let intensity = intensity_flag(args)?.unwrap_or_else(|| "standard".to_string());
+    if let Some(seed) = u64_flag(args, "--fault-seed")? {
+        config.fault_plan = FaultPlan::named(&intensity, seed);
     }
-    if let Some(floor) = arg_value(args, "--floor") {
-        config.degradation.floor = parse_floor(&floor)?;
+    if let Some(floor) = floor_flag(args)? {
+        config.degradation.floor = floor;
     }
-    if let Some(budget) = arg_value(args, "--budget") {
-        config.degradation.max_below_floor =
-            budget.parse().map_err(|_| format!("bad --budget {budget}"))?;
+    if let Some(budget) = budget_flag(args)? {
+        config.degradation.max_below_floor = budget;
     }
     if has_flag(args, "--audit-gate") {
         config.audit_gate = true;
     }
     // Watchdog: the flag wins, then ICFGP_FUNC_TIMEOUT_MS (validated
     // at startup), else the work-unit ledger alone bounds analysis.
-    config.analysis.func_timeout_ms = match arg_value(args, "--func-timeout-ms") {
-        Some(ms) => {
-            Some(ms.parse().map_err(|_| format!("bad --func-timeout-ms {ms}"))?)
-        }
-        None => store::env_millis(
-            "ICFGP_FUNC_TIMEOUT_MS",
-            std::env::var("ICFGP_FUNC_TIMEOUT_MS").ok().as_deref(),
-        )
-        .unwrap_or(None),
-    };
-    let points = match arg_value(args, "--points").as_deref() {
-        Some("entries") => Points::FunctionEntries,
-        Some("none") => Points::None,
-        _ => Points::EveryBlock,
-    };
+    config.analysis.func_timeout_ms = u64_flag(args, "--func-timeout-ms")?.or_else(|| {
+        let var = std::env::var("ICFGP_FUNC_TIMEOUT_MS").ok();
+        store::env_millis("ICFGP_FUNC_TIMEOUT_MS", var.as_deref()).unwrap_or(None)
+    });
+    let points = flag_value(args, "--points", "blocks|entries|none", |s| match s {
+        "blocks" => Some(Points::EveryBlock),
+        "entries" => Some(Points::FunctionEntries),
+        "none" => Some(Points::None),
+        _ => None,
+    })?
+    .unwrap_or(Points::EveryBlock);
     Ok((config, points))
 }
 
@@ -380,16 +452,10 @@ fn run_ladder(
     config: &RewriteConfig,
     points: Points,
     cache: &RewriteCache,
-    supervisor: &Supervisor<'_>,
 ) -> Result<(incremental_cfg_patching::verify::LadderOutcome, u8), String> {
-    let ladder = rewrite_with_ladder_supervised(
-        binary,
-        config,
-        &Instrumentation::empty(points),
-        cache,
-        supervisor,
-    )
-    .map_err(|e| e.to_string())?;
+    let ladder =
+        rewrite_with_ladder_cached(binary, config, &Instrumentation::empty(points), cache)
+            .map_err(|e| e.to_string())?;
     let code = if ladder.budget_exceeded {
         2
     } else if ladder.fully_clean() {
@@ -446,18 +512,18 @@ fn print_gate(ladder: &incremental_cfg_patching::verify::LadderOutcome) {
 
 /// `icfgp audit FILE` — run the static soundness audit and report
 /// findings without rewriting. Exit 0 clean, 1 findings, 64 usage.
-fn cmd_audit(args: &[String]) -> Result<u8, String> {
-    let Some(path) = args.first() else {
-        eprintln!("error: missing FILE (icfgp audit FILE [--mode M] [--format text|json|sarif])");
-        return Ok(64);
-    };
-    let format = arg_value(args, "--format").unwrap_or_else(|| "text".to_string());
-    if !matches!(format.as_str(), "text" | "json" | "sarif") {
-        eprintln!("error: unknown --format {format} (expected text|json|sarif)");
-        return Ok(64);
-    }
-    let binary = load_binary(path)?;
+fn cmd_audit(args: &[String]) -> Result<u8, Failure> {
+    let path = args.first().filter(|a| !a.starts_with('-')).ok_or_else(|| {
+        Failure::Usage(
+            "missing FILE (icfgp audit FILE [--mode M] [--format text|json|sarif])".into(),
+        )
+    })?;
+    let format = flag_value(args, "--format", "text|json|sarif", |s| {
+        matches!(s, "text" | "json" | "sarif").then(|| s.to_string())
+    })?
+    .unwrap_or_else(|| "text".to_string());
     let (config, _) = parse_rewrite_config(args)?;
+    let binary = load_binary(path)?;
     let mode = audit_mode_of(config.mode);
     let cache = open_cache(args);
     let tpath = arm_trace(args, &cache);
@@ -492,7 +558,7 @@ fn cmd_audit(args: &[String]) -> Result<u8, String> {
     Ok(u8::from(!report.is_clean(mode)))
 }
 
-fn cmd_bench_rewrite(args: &[String]) -> Result<u8, String> {
+fn cmd_bench_rewrite(args: &[String]) -> Result<u8, Failure> {
     let quick = has_flag(args, "--quick");
     let out = arg_value(args, "-o").unwrap_or_else(|| "BENCH_rewrite.json".to_string());
     let report = incremental_cfg_patching::bench_rewrite::run_bench(quick)?;
@@ -503,63 +569,18 @@ fn cmd_bench_rewrite(args: &[String]) -> Result<u8, String> {
     Ok(if report.all_identical() { 0 } else { 2 })
 }
 
-fn cmd_rewrite(args: &[String]) -> Result<u8, String> {
+fn cmd_rewrite(args: &[String]) -> Result<u8, Failure> {
     let path = args.first().ok_or("missing FILE")?;
     let out = arg_value(args, "-o").ok_or("missing -o FILE")?;
-    let journal_path = arg_value(args, "--journal").map(PathBuf::from);
-    let resume = has_flag(args, "--resume");
-    if resume && journal_path.is_none() {
-        eprintln!("error: --resume requires --journal FILE");
-        return Ok(64);
-    }
-    let binary = load_binary(path)?;
     let (config, points) = parse_rewrite_config(args)?;
     let mode = config.mode;
-    let bfp = binary_fingerprint(&binary);
-    let cfp = config_fingerprint(&config);
-    // `--resume` replays the journal's completed rounds instead of
-    // executing them; it refuses a journal recorded for a different
-    // binary or configuration, which would silently diverge.
-    let replay = match (&journal_path, resume) {
-        (Some(p), true) => {
-            let r = RunJournal::load(p)?;
-            if r.header.binary_fp != bfp || r.header.config_fp != cfp {
-                return Err(format!(
-                    "{}: journal was recorded for a different binary or configuration; \
-                     refusing to resume",
-                    p.display()
-                ));
-            }
-            Some(r)
-        }
-        _ => None,
-    };
-    let journal = match &journal_path {
-        Some(p) => {
-            let j = RunJournal::create(p, bfp, cfp)
-                .map_err(|e| format!("journal {}: {e}", p.display()))?;
-            // Re-append the replayed rounds, so a resumed run that is
-            // itself killed leaves a journal the next resume can use.
-            if let Some(r) = &replay {
-                for round in &r.rounds {
-                    j.append_round(round).map_err(|e| format!("journal {}: {e}", p.display()))?;
-                }
-            }
-            Some(j)
-        }
-        None => None,
-    };
-    let supervisor = Supervisor {
-        journal: journal.as_ref(),
-        resume: replay.as_ref(),
-        abort_after_rounds: None,
-    };
+    let binary = load_binary(path)?;
     let quiet = is_quiet(args);
     let cache = open_cache(args);
     let tpath = arm_trace(args, &cache);
     let spine = cache.trace();
     let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
-    let (ladder, code) = run_ladder(&binary, &config, points, &cache, &supervisor)?;
+    let (ladder, code) = run_ladder(&binary, &config, points, &cache)?;
     save_binary(&ladder.outcome.binary, &out)?;
     if !quiet {
         let r = &ladder.outcome.report;
@@ -587,13 +608,6 @@ fn cmd_rewrite(args: &[String]) -> Result<u8, String> {
         );
         print_dispositions(&ladder);
         print_gate(&ladder);
-        if ladder.resumed_rounds > 0 {
-            println!(
-                "  resumed    : {} journaled round(s) replayed, {} executed",
-                ladder.resumed_rounds,
-                ladder.rounds - ladder.resumed_rounds
-            );
-        }
         if has_flag(args, "--stats") {
             print_stats(&ladder.round_stats);
         }
@@ -618,15 +632,13 @@ fn cmd_rewrite(args: &[String]) -> Result<u8, String> {
 /// computed for the first binary serve the rest; per-stage hit rates
 /// and cross-binary `shared` counts are reported per binary and in
 /// aggregate. Exit code is the worst per-binary ladder code.
-fn cmd_fleet(args: &[String]) -> Result<u8, String> {
+fn cmd_fleet(args: &[String]) -> Result<u8, Failure> {
     let files: Vec<String> =
         args.iter().take_while(|a| !a.starts_with('-')).cloned().collect();
     if files.is_empty() {
-        eprintln!(
-            "error: fleet needs at least one input FILE \
-             (icfgp fleet FILES... [--cache-dir DIR])"
-        );
-        return Ok(64);
+        return Err(Failure::Usage(
+            "fleet needs at least one input FILE (icfgp fleet FILES... [--cache-dir DIR])".into(),
+        ));
     }
     let (config, points) = parse_rewrite_config(args)?;
     let quiet = is_quiet(args);
@@ -640,8 +652,7 @@ fn cmd_fleet(args: &[String]) -> Result<u8, String> {
     let mut code = 0u8;
     for (fi, path) in files.iter().enumerate() {
         let binary = load_binary(path)?;
-        let (ladder, c) =
-            run_ladder(&binary, &config, points.clone(), &cache, &Supervisor::default())?;
+        let (ladder, c) = run_ladder(&binary, &config, points.clone(), &cache)?;
         code = code.max(c);
         let out = format!("{path}.rw");
         save_binary(&ladder.outcome.binary, &out)?;
@@ -693,15 +704,15 @@ fn fleet_cell(name: &str, v: &[u64; 3]) -> String {
     format!("{name} {}/{total} hit ({rate:.0}%, shared: {})", v[0], v[2])
 }
 
-fn cmd_verify(args: &[String]) -> Result<u8, String> {
+fn cmd_verify(args: &[String]) -> Result<u8, Failure> {
     let path = args.first().ok_or("missing FILE")?;
-    let binary = load_binary(path)?;
     let (config, points) = parse_rewrite_config(args)?;
+    let binary = load_binary(path)?;
     let cache = open_cache(args);
     let tpath = arm_trace(args, &cache);
     let spine = cache.trace();
     let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
-    let (ladder, code) = run_ladder(&binary, &config, points, &cache, &Supervisor::default())?;
+    let (ladder, code) = run_ladder(&binary, &config, points, &cache)?;
     let report = &ladder.verify;
     if has_flag(args, "--json") {
         println!("{}", report.to_json().map_err(|e| e.to_string())?);
@@ -732,123 +743,40 @@ fn cmd_verify(args: &[String]) -> Result<u8, String> {
     Ok(code)
 }
 
-/// `icfgp chaos --kill-resume` — sweep every journal boundary of each
-/// case with a deterministic kill + resume and check byte-identity.
-fn cmd_chaos_kill(args: &[String]) -> Result<u8, String> {
-    let mut config = KillCampaignConfig::default();
-    if let Some(n) = arg_value(args, "--seeds") {
-        let n: u64 = n.parse().map_err(|_| format!("bad --seeds {n}"))?;
+/// `icfgp chaos` — sweep fault seeds over workloads. `--cache-dir`
+/// adds the store fault domain; `--kill-resume` the kill domain, with
+/// its scratch stores under `--cache-dir` (default: a temp directory).
+fn cmd_chaos(args: &[String]) -> Result<u8, Failure> {
+    let mut config = match (has_flag(args, "--kill-resume"), cache_dir(args)) {
+        (true, dir) => CampaignConfig::kill(dir.unwrap_or_else(|| {
+            std::env::temp_dir().join(format!("icfgp-kill-{}", std::process::id()))
+        })),
+        (false, Some(dir)) => {
+            CampaignConfig { domain: FaultDomain::Store(dir), ..CampaignConfig::default() }
+        }
+        (false, None) => CampaignConfig::default(),
+    };
+    if let Some(n) = u64_flag(args, "--seeds")? {
         config.seeds = (1..=n).collect();
     }
-    if let Some(w) = arg_value(args, "--workloads") {
-        config.workloads = w.split(',').map(str::to_string).collect();
+    if let Some(w) = workloads_flag(args)? {
+        config.workloads = w;
     }
-    if has_flag(args, "--arch") {
-        config.arches = vec![parse_arch(args)];
+    if let Some(arch) = arch_flag(args)? {
+        config.arches = vec![arch];
     }
-    if let Some(m) = arg_value(args, "--mode") {
-        config.modes = vec![match m.as_str() {
-            "dir" => RewriteMode::Dir,
-            "jt" => RewriteMode::Jt,
-            "func-ptr" => RewriteMode::FuncPtr,
-            other => return Err(format!("unknown --mode {other}")),
-        }];
+    if let Some(mode) = mode_flag(args)? {
+        config.modes = vec![mode];
     }
-    if let Some(i) = arg_value(args, "--intensity") {
-        if FaultPlan::named(&i, 0).is_none() {
-            return Err(format!("unknown --intensity {i}"));
-        }
+    if let Some(i) = intensity_flag(args)? {
         config.intensity = i;
     }
-    if let Some(floor) = arg_value(args, "--floor") {
-        config.policy.floor = parse_floor(&floor)?;
+    if let Some(floor) = floor_flag(args)? {
+        config.policy.floor = floor;
     }
-    if let Some(budget) = arg_value(args, "--budget") {
-        config.policy.max_below_floor =
-            budget.parse().map_err(|_| format!("bad --budget {budget}"))?;
+    if let Some(budget) = budget_flag(args)? {
+        config.policy.max_below_floor = budget;
     }
-    if let Some(dir) = cache_dir(args) {
-        config.dir = dir;
-    }
-    let quiet = is_quiet(args);
-    let json = has_flag(args, "--json");
-    let tpath = trace_path(args);
-    let spine = tpath.as_ref().map(|_| Trace::recording());
-    config.trace = spine.clone();
-    let run_span = spine.as_deref().map(|t| t.span(SpanKind::Run));
-    let report = run_kill_campaign(&config, |case| {
-        if !json && !quiet {
-            println!(
-                "{}/{}/{} seed {}: {} [{} round(s), {} kill point(s)]{}",
-                case.workload,
-                case.arch,
-                case.mode,
-                case.seed,
-                if case.passed { "ok" } else { "FAILED" },
-                case.rounds,
-                case.kill_points,
-                if case.detail.is_empty() {
-                    String::new()
-                } else {
-                    format!(" — {}", case.detail)
-                },
-            );
-        }
-    })?;
-    if let Some(s) = run_span {
-        s.close();
-    }
-    if !quiet {
-        if json {
-            println!("{}", serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?);
-        } else {
-            println!();
-            println!("{}", report.render());
-        }
-    }
-    if let (Some(t), Some(p)) = (&spine, &tpath) {
-        write_trace(t, p)?;
-    }
-    Ok(report.exit_code())
-}
-
-fn cmd_chaos(args: &[String]) -> Result<u8, String> {
-    if has_flag(args, "--kill-resume") {
-        return cmd_chaos_kill(args);
-    }
-    let mut config = CampaignConfig::default();
-    if let Some(n) = arg_value(args, "--seeds") {
-        let n: u64 = n.parse().map_err(|_| format!("bad --seeds {n}"))?;
-        config.seeds = (1..=n).collect();
-    }
-    if let Some(w) = arg_value(args, "--workloads") {
-        config.workloads = w.split(',').map(str::to_string).collect();
-    }
-    if has_flag(args, "--arch") {
-        config.arches = vec![parse_arch(args)];
-    }
-    if let Some(m) = arg_value(args, "--mode") {
-        config.modes = vec![match m.as_str() {
-            "dir" => RewriteMode::Dir,
-            "jt" => RewriteMode::Jt,
-            "func-ptr" => RewriteMode::FuncPtr,
-            other => return Err(format!("unknown --mode {other}")),
-        }];
-    }
-    if let Some(i) = arg_value(args, "--intensity") {
-        if FaultPlan::named(&i, 0).is_none() {
-            return Err(format!("unknown --intensity {i}"));
-        }
-        config.intensity = i;
-    }
-    if let Some(floor) = arg_value(args, "--floor") {
-        config.policy.floor = parse_floor(&floor)?;
-    }
-    if let Some(budget) = arg_value(args, "--budget") {
-        config.policy.max_below_floor =
-            budget.parse().map_err(|_| format!("bad --budget {budget}"))?;
-    }
-    config.cache_dir = cache_dir(args);
     let quiet = is_quiet(args);
     let json = has_flag(args, "--json");
     let tpath = trace_path(args);
@@ -857,23 +785,7 @@ fn cmd_chaos(args: &[String]) -> Result<u8, String> {
     let run_span = spine.as_deref().map(|t| t.span(SpanKind::Run));
     let report = run_campaign(&config, |case| {
         if !json && !quiet {
-            let note = match &case.status {
-                CaseStatus::LadderFailed(w) | CaseStatus::EmulationDiverged(w) => {
-                    format!(" ({w})")
-                }
-                _ => String::new(),
-            };
-            println!(
-                "{}/{}/{} seed {}: {}{note} [{} round(s), {}/{} degraded]",
-                case.workload,
-                case.arch,
-                case.mode,
-                case.seed,
-                case.status.cell(),
-                case.rounds,
-                case.degraded_funcs,
-                case.funcs,
-            );
+            println!("{}", case.line());
         }
     })?;
     if let Some(s) = run_span {
@@ -884,7 +796,7 @@ fn cmd_chaos(args: &[String]) -> Result<u8, String> {
             println!("{}", serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?);
         } else {
             println!();
-            println!("{}", report.render_matrix(&config.seeds));
+            println!("{}", report.render(&config.seeds));
         }
     }
     if let (Some(t), Some(p)) = (&spine, &tpath) {
@@ -895,7 +807,7 @@ fn cmd_chaos(args: &[String]) -> Result<u8, String> {
 
 /// `icfgp cache <stats|verify|clear|corrupt>` — offline maintenance of
 /// a persistent store directory.
-fn cmd_cache(args: &[String]) -> Result<u8, String> {
+fn cmd_cache(args: &[String]) -> Result<u8, Failure> {
     let sub = args.first().ok_or("missing cache subcommand (stats|verify|clear|compact|corrupt)")?;
     let rest = &args[1..];
     let dir = cache_dir(rest)
@@ -996,19 +908,16 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
             Ok(0)
         }
         "corrupt" => {
-            let kind = arg_value(args, "--kind")
-                .ok_or("missing --kind <bit-flip|truncate|stale-version>")?;
-            let kind = CorruptKind::parse(&kind)
-                .ok_or_else(|| format!("unknown --kind {kind}"))?;
-            let seed = arg_value(args, "--seed")
-                .map(|s| s.parse::<u64>().map_err(|_| format!("bad --seed {s}")))
-                .transpose()?
-                .unwrap_or(1);
+            let kind = flag_value(args, "--kind", "bit-flip|truncate|stale-version", |s| {
+                CorruptKind::parse(s)
+            })?
+            .ok_or("missing --kind <bit-flip|truncate|stale-version>")?;
+            let seed = u64_flag(args, "--seed")?.unwrap_or(1);
             let what = store::corrupt_dir(&dir, kind, seed)?;
             println!("{}: {what}", dir.display());
             Ok(0)
         }
-        other => Err(format!("unknown cache subcommand {other}")),
+        other => Err(format!("unknown cache subcommand {other}").into()),
     }
 }
 
@@ -1018,7 +927,7 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
 /// histogram and counter totals; it exits 1 when the store
 /// conservation laws are violated. `diff` prints per-counter deltas
 /// between two streams.
-fn cmd_trace(args: &[String]) -> Result<u8, String> {
+fn cmd_trace(args: &[String]) -> Result<u8, Failure> {
     let sub = args.first().ok_or("missing trace subcommand (summarize|diff)")?;
     match sub.as_str() {
         "summarize" => {
@@ -1045,21 +954,22 @@ fn cmd_trace(args: &[String]) -> Result<u8, String> {
             print!("{}", trace::render_diff(&sa, &sb));
             Ok(0)
         }
-        other => Err(format!("unknown trace subcommand {other} (summarize|diff)")),
+        other => Err(format!("unknown trace subcommand {other} (summarize|diff)").into()),
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(args: &[String]) -> Result<(), Failure> {
     let path = args.first().ok_or("missing FILE")?;
-    let binary = load_binary(path)?;
     let opts = LoadOptions {
         preload_runtime: has_flag(args, "--preload-runtime"),
-        bias: arg_value(args, "--bias")
-            .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
-            .unwrap_or(0),
-        fuel: arg_value(args, "--fuel").and_then(|s| s.parse().ok()).unwrap_or(500_000_000),
+        bias: flag_value(args, "--bias", "a hex address such as 0x10000", |s| {
+            u64::from_str_radix(s.trim_start_matches("0x"), 16).ok()
+        })?
+        .unwrap_or(0),
+        fuel: u64_flag(args, "--fuel")?.unwrap_or(500_000_000),
         ..LoadOptions::default()
     };
+    let binary = load_binary(path)?;
     match run(&binary, &opts) {
         Outcome::Halted(stats) => {
             println!("halted normally");
@@ -1072,10 +982,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         Outcome::Crashed { reason, stats } => {
-            Err(format!("crashed after {} instructions: {reason}", stats.instructions))
+            Err(format!("crashed after {} instructions: {reason}", stats.instructions).into())
         }
         Outcome::OutOfFuel(stats) => {
-            Err(format!("out of fuel after {} instructions", stats.instructions))
+            Err(format!("out of fuel after {} instructions", stats.instructions).into())
         }
     }
 }
@@ -1104,7 +1014,7 @@ fn accepted_flags(cmd: &str) -> Option<&'static [&'static [&'static str]]> {
         "analyze" | "list-workloads" | "trace" | "cache" => &[],
         "audit" => &[&["--mode=", "--format=", "--fault-seed=", "--intensity="], STORE],
         "rewrite" => {
-            &[REWRITE, &["--stats", "--quiet", "-q", "--journal=", "--resume", "-o="]]
+            &[REWRITE, &["--stats", "--quiet", "-q", "-o="]]
         }
         "verify" => &[REWRITE, &["--json"]],
         "fleet" => &[REWRITE, &["--quiet", "-q"]],
@@ -1186,7 +1096,7 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(rest),
         "bench-rewrite" => cmd_bench_rewrite(rest),
         "list-workloads" => {
-            println!("small  firefox  docker  driverlib  switch_demo");
+            println!("{}", WORKLOADS.join("  "));
             for n in SPEC_NAMES {
                 println!("spec:{n}");
             }
@@ -1196,7 +1106,11 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(code) => ExitCode::from(code),
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::from(64)
+        }
+        Err(Failure::Internal(e)) => {
             eprintln!("error: {e}");
             ExitCode::from(3)
         }

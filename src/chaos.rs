@@ -3,30 +3,45 @@
 //! equivalent binary.
 //!
 //! A campaign is the cartesian product of workloads × architectures ×
-//! rewriting modes × fault seeds. Each case arms a seeded
-//! [`FaultPlan`], runs the rewrite through
-//! [`rewrite_with_ladder`](icfgp_verify::rewrite_with_ladder), and
-//! judges the result against two oracles:
+//! rewriting modes × fault seeds, run in one [`FaultDomain`]. Each case
+//! arms a seeded [`FaultPlan`] and runs the rewrite through the
+//! degradation ladder ([`rewrite_with_ladder_cached`]); the domain
+//! decides what else can go wrong around it:
+//!
+//! * [`FaultDomain::Analysis`] — analysis faults alone;
+//! * [`FaultDomain::Store`] — every case shares one persistent store,
+//!   and the plan arms the store's I/O fault hooks too;
+//! * [`FaultDomain::Kill`] — each case is also stopped at every ladder
+//!   round boundary and re-run over the stopped run's store.
+//!
+//! Every case is judged by one oracle table, [`CaseStatus`]:
 //!
 //! 1. **static** — the final round's [`icfgp_verify`] report must have
 //!    zero errors (the ladder guarantees this or errors out);
 //! 2. **dynamic** — the rewritten binary must emulate equivalently to
-//!    the original (same outcome class, same output stream).
+//!    the original (same outcome class, same output stream);
+//! 3. **audit** — no verify-forced demotion may land on a function the
+//!    static auditor graded proven ([`CaseAudit::demoted_proven`]);
+//! 4. **kill** (kill domain) — the re-run after each stop must match
+//!    the uninterrupted reference: the same output bytes, the same
+//!    [`FuncDisposition`](icfgp_verify::FuncDisposition)s, the same
+//!    round count, and strictly fewer stage misses than the cold
+//!    reference.
 //!
 //! The per-case verdicts roll up into a [`CampaignReport`] whose
 //! matrix rendering and worst-case exit code back the `icfgp chaos`
 //! subcommand and the CI `chaos-smoke` job.
 
 use icfgp_core::{
-    apply_audit_gate, audit_mode_of, binary_fingerprint, config_fingerprint, CacheStore,
-    DegradationPolicy, FaultPlan, FuncMode, Instrumentation, Points, RewriteCache,
-    RewriteConfig, RewriteMode, RewriteStats, RunJournal, StoreStats, Trace,
+    apply_audit_gate, audit_mode_of, CacheStore, DegradationPolicy, FaultPlan, Instrumentation,
+    Points, RewriteCache, RewriteConfig, RewriteMode, RewriteStats, StoreFaults, StoreStats,
+    Trace,
 };
 use icfgp_emu::{run, LoadOptions, Outcome};
 use icfgp_isa::Arch;
 use icfgp_obj::Binary;
 use icfgp_verify::{
-    rewrite_with_ladder_cached, rewrite_with_ladder_supervised, LadderError, Supervisor,
+    rewrite_with_ladder_cached, rewrite_with_ladder_stopping_after, LadderError, LadderOutcome,
 };
 use icfgp_workloads::{
     docker_like, driverlib_like, firefox_like, generate, spec_params, switch_demo, GenParams,
@@ -37,10 +52,27 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// What, besides the analysis, a campaign injects faults into.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FaultDomain {
+    /// Analysis faults only; every case runs storeless.
+    Analysis,
+    /// Analysis faults plus store I/O faults (torn writes, bit flips,
+    /// short reads, lock contention) on one persistent store in this
+    /// directory, shared by every case: store damage may cost
+    /// recomputes, never output bytes.
+    Store(PathBuf),
+    /// Analysis faults plus a kill at every ladder round boundary. Each
+    /// (case, kill point) gets a fresh store under this scratch
+    /// directory, because the point is proving what survives on disk.
+    Kill(PathBuf),
+}
+
 /// What a chaos campaign should sweep.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Workload names (`small`, `switch_demo`, `spec:NAME`).
+    /// Workload names (`small`, `switch_demo`, `spec:NAME`, ...; see
+    /// [`WORKLOADS`]).
     pub workloads: Vec<String>,
     /// Architectures to cover.
     pub arches: Vec<Arch>,
@@ -52,12 +84,8 @@ pub struct CampaignConfig {
     pub intensity: String,
     /// Degradation policy applied to every case.
     pub policy: DegradationPolicy,
-    /// Persistent-store directory shared by every case. When set, each
-    /// case's fault plan also arms the store's I/O fault hooks (torn
-    /// writes, bit flips, short reads, lock contention), so the
-    /// campaign exercises the persistence layer under the same oracle:
-    /// store damage may cost recomputes, never output bytes.
-    pub cache_dir: Option<std::path::PathBuf>,
+    /// Where faults are injected besides the analysis.
+    pub domain: FaultDomain,
     /// Shared trace spine every case's cache and store emit onto
     /// (`--trace`); `None` keeps per-case private collectors.
     pub trace: Option<Arc<Trace>>,
@@ -72,8 +100,26 @@ impl Default for CampaignConfig {
             seeds: (1..=8).collect(),
             intensity: "standard".into(),
             policy: DegradationPolicy::default(),
-            cache_dir: None,
+            domain: FaultDomain::Analysis,
             trace: None,
+        }
+    }
+}
+
+impl CampaignConfig {
+    /// The default kill-domain sweep, with scratch stores under `dir`.
+    /// Under the standard plan, `small` ladders through 3 (jt) and 4
+    /// (func-ptr) rounds on these seeds — real kill points, not
+    /// trivial one-round passes.
+    #[must_use]
+    pub fn kill(dir: PathBuf) -> CampaignConfig {
+        CampaignConfig {
+            workloads: vec!["small".into()],
+            arches: vec![Arch::X64],
+            modes: vec![RewriteMode::Jt, RewriteMode::FuncPtr],
+            seeds: vec![2, 3],
+            domain: FaultDomain::Kill(dir),
+            ..CampaignConfig::default()
         }
     }
 }
@@ -95,6 +141,9 @@ pub enum CaseStatus {
     LadderFailed(String),
     /// The rewritten binary did not emulate equivalently.
     EmulationDiverged(String),
+    /// A re-run after a kill did not reproduce the uninterrupted run,
+    /// or redid as much work as a cold run (kill domain).
+    KillDiverged(String),
 }
 
 impl CaseStatus {
@@ -102,13 +151,16 @@ impl CaseStatus {
     /// verdicts included — on a heavily faulted small workload an
     /// exceeded budget is the policy *working*, reported in the
     /// matrix), 2 for real robustness failures: no verified rewrite
-    /// produced, or behavioural divergence.
+    /// produced, behavioural divergence, or a kill that changed the
+    /// outcome.
     #[must_use]
     pub fn exit_code(&self) -> u8 {
         match self {
             CaseStatus::Clean => 0,
             CaseStatus::Degraded | CaseStatus::BudgetExceeded => 1,
-            CaseStatus::LadderFailed(_) | CaseStatus::EmulationDiverged(_) => 2,
+            CaseStatus::LadderFailed(_)
+            | CaseStatus::EmulationDiverged(_)
+            | CaseStatus::KillDiverged(_) => 2,
         }
     }
 
@@ -121,6 +173,7 @@ impl CaseStatus {
             CaseStatus::BudgetExceeded => 'B',
             CaseStatus::LadderFailed(_) => 'L',
             CaseStatus::EmulationDiverged(_) => 'X',
+            CaseStatus::KillDiverged(_) => 'K',
         }
     }
 }
@@ -170,6 +223,47 @@ pub struct CaseResult {
     pub below_floor: usize,
     /// Static-audit verdicts and the verify-vs-audit cross-check.
     pub audit: CaseAudit,
+    /// Kill points exercised: `rounds - 1` in the kill domain once the
+    /// reference run passed its oracles, else 0.
+    pub kill_points: usize,
+    /// Stage misses (analysis + fragment + emit + liveness) of the cold
+    /// reference run; 0 outside the kill domain.
+    pub cold_misses: u64,
+    /// Worst stage-miss total of a re-run after a kill (must stay
+    /// below `cold_misses`).
+    pub max_rerun_misses: u64,
+}
+
+impl CaseResult {
+    /// The one-line progress report for this case.
+    #[must_use]
+    pub fn line(&self) -> String {
+        let note = match &self.status {
+            CaseStatus::LadderFailed(w)
+            | CaseStatus::EmulationDiverged(w)
+            | CaseStatus::KillDiverged(w) => format!(" ({w})"),
+            _ => String::new(),
+        };
+        let kill = if self.cold_misses > 0 {
+            format!(
+                ", {} kill point(s), misses {} cold / {} worst re-run",
+                self.kill_points, self.cold_misses, self.max_rerun_misses
+            )
+        } else {
+            String::new()
+        };
+        format!(
+            "{}/{}/{} seed {}: {}{note} [{} round(s), {}/{} degraded{kill}]",
+            self.workload,
+            self.arch,
+            self.mode,
+            self.seed,
+            self.status.cell(),
+            self.rounds,
+            self.degraded_funcs,
+            self.funcs,
+        )
+    }
 }
 
 /// Aggregated campaign results.
@@ -177,10 +271,9 @@ pub struct CaseResult {
 pub struct CampaignReport {
     /// Every case, in sweep order.
     pub cases: Vec<CaseResult>,
-    /// Persistent-store counters over the whole campaign (`None` when
-    /// the campaign ran without a cache directory). Quarantines here
-    /// are *expected* under store fault injection — the exit code only
-    /// reflects rewrite/emulation verdicts.
+    /// Persistent-store counters over the whole campaign (store domain
+    /// only). Quarantines here are *expected* under store fault
+    /// injection — the exit code only reflects the case verdicts.
     pub store: Option<StoreStats>,
 }
 
@@ -213,10 +306,10 @@ impl CampaignReport {
         t
     }
 
-    /// Render the robustness matrix: one row per
-    /// (workload, arch, mode), one cell per seed.
+    /// Render the robustness matrix — one row per (workload, arch,
+    /// mode), one cell per seed — and the summary lines.
     #[must_use]
-    pub fn render_matrix(&self, seeds: &[u64]) -> String {
+    pub fn render(&self, seeds: &[u64]) -> String {
         let mut out = String::new();
         let mut header = format!("{:<34}", "workload/arch/mode");
         for s in seeds {
@@ -248,7 +341,8 @@ impl CampaignReport {
         let _ = write!(
             out,
             "{} case(s): {} clean, {} degraded, {} failed   \
-             (. clean, d degraded, B budget exceeded, L ladder failed, X emulation diverged)",
+             (. clean, d degraded, B budget exceeded, L ladder failed, X emulation diverged, \
+             K kill diverged)",
             self.cases.len(),
             self.count(0),
             self.count(1),
@@ -265,6 +359,16 @@ impl CampaignReport {
             audit.unknown,
             audit.demoted_proven,
         );
+        if self.cases.iter().any(|c| c.cold_misses > 0) {
+            let _ = write!(
+                out,
+                "\nkill: {} kill point(s) re-run over the killed run's store; \
+                 worst re-run {} stage miss(es) against {} cold",
+                self.cases.iter().map(|c| c.kill_points).sum::<usize>(),
+                self.cases.iter().map(|c| c.max_rerun_misses).max().unwrap_or(0),
+                self.cases.iter().map(|c| c.cold_misses).max().unwrap_or(0),
+            );
+        }
         if let Some(s) = &self.store {
             let _ = write!(
                 out,
@@ -284,8 +388,21 @@ impl CampaignReport {
     }
 }
 
-/// Build the named workload for `arch`. Supports the same names as
-/// `icfgp gen` minus the ones that need extra parameters.
+/// The workload names [`build_workload`] accepts, besides `spec:NAME`
+/// for each of [`SPEC_NAMES`].
+pub const WORKLOADS: &[&str] = &["small", "firefox", "docker", "driverlib", "switch_demo"];
+
+/// Whether `name` is a workload [`build_workload`] (and `icfgp gen`)
+/// can build.
+#[must_use]
+pub fn is_workload(name: &str) -> bool {
+    match name.strip_prefix("spec:") {
+        Some(spec) => SPEC_NAMES.contains(&spec),
+        None => name == "switch-demo" || WORKLOADS.contains(&name),
+    }
+}
+
+/// Build the named workload for `arch` with its default parameters.
 ///
 /// # Errors
 ///
@@ -308,26 +425,44 @@ pub fn build_workload(name: &str, arch: Arch) -> Result<Binary, String> {
     }
 }
 
-/// Run one chaos case: arm the fault plan, ladder to a verified
-/// rewrite, and emulate both binaries.
+/// Run one case: arm the fault plan, audit, ladder to a verified
+/// rewrite, emulate both binaries, and in the kill domain stop and
+/// re-run the ladder at every round boundary.
 ///
 /// `cache` memoises per-function analysis and rewrite work. The
 /// campaign driver shares one cache per (workload, arch): the clean
 /// victim-picking analysis is computed once per binary, and fault
 /// seeds re-do per-function work only for the functions their
-/// injections actually touch.
-#[must_use]
-pub fn run_case(
+/// injections actually touch. The kill domain runs its reference and
+/// kill points on fresh stores instead, so their miss counts are cold.
+fn run_case(
     binary: &Binary,
+    workload: &str,
+    arch: Arch,
     mode: RewriteMode,
     seed: u64,
-    intensity: &str,
-    policy: &DegradationPolicy,
+    campaign: &CampaignConfig,
     cache: &RewriteCache,
-) -> (CaseStatus, usize, usize, usize, usize, CaseAudit) {
+) -> CaseResult {
     let mut config = RewriteConfig::new(mode);
-    config.fault_plan = FaultPlan::named(intensity, seed);
-    config.degradation = *policy;
+    config.fault_plan = FaultPlan::named(&campaign.intensity, seed);
+    config.degradation = campaign.policy;
+    let instr = Instrumentation::empty(Points::EveryBlock);
+    let mut case = CaseResult {
+        workload: workload.into(),
+        arch: arch.to_string(),
+        mode: mode.to_string(),
+        seed,
+        status: CaseStatus::Clean,
+        rounds: 0,
+        funcs: 0,
+        degraded_funcs: 0,
+        below_floor: 0,
+        audit: CaseAudit::default(),
+        kill_points: 0,
+        cold_misses: 0,
+        max_rerun_misses: 0,
+    };
     // Static audit of the same faulted analysis the ladder will see.
     // The gate's func-mode installs land in a throwaway clone: chaos
     // keeps the ladder reactive so the cross-check below compares
@@ -339,50 +474,142 @@ pub fn run_case(
         plan.arm_cached(binary, &mut audit_cfg, cache);
     }
     let gate = apply_audit_gate(binary, &mut audit_cfg, cache);
-    let mut audit = CaseAudit {
+    case.audit = CaseAudit {
         proven: gate.counts.proven,
         over_approx: gate.counts.over_approx,
         under_approx_risk: gate.counts.under_approx_risk,
         unknown: gate.counts.unknown,
         demoted_proven: 0,
     };
-    let ladder = match rewrite_with_ladder_cached(
-        binary,
-        &config,
-        &Instrumentation::empty(Points::EveryBlock),
-        cache,
-    ) {
+    let label = format!("{workload}-{arch}-{mode}-{seed}");
+    let kill_dir = match &campaign.domain {
+        FaultDomain::Kill(dir) => Some(dir),
+        _ => None,
+    };
+    let reference = match kill_dir {
+        Some(dir) => {
+            let store = open_case_store(&dir.join(format!("{label}-ref")), campaign.trace.as_ref());
+            rewrite_with_ladder_cached(binary, &config, &instr, &RewriteCache::with_store(store))
+        }
+        None => rewrite_with_ladder_cached(binary, &config, &instr, cache),
+    };
+    let ladder = match reference {
         Ok(l) => l,
-        // No supervisor is attached here, so `Interrupted` cannot
-        // occur; any error means the ladder produced no rewrite.
         Err(e) => {
-            return (CaseStatus::LadderFailed(e.to_string()), 0, 0, 0, 0, audit);
+            case.status = CaseStatus::LadderFailed(e.to_string());
+            return case;
         }
     };
     // Third oracle: every verify-forced demotion must land on a
     // function the auditor did *not* grade proven.
     let proven = gate.report.proven_functions(audit_mode_of(mode));
-    audit.demoted_proven = ladder
+    case.audit.demoted_proven = ladder
         .dispositions
         .iter()
         .filter(|d| !d.steps.is_empty() && proven.contains(&d.entry))
         .count() as u64;
-    let funcs = ladder.dispositions.len();
-    let degraded = ladder.degraded().count();
-    let stats = (ladder.rounds, funcs, degraded, ladder.below_floor);
+    case.rounds = ladder.rounds;
+    case.funcs = ladder.dispositions.len();
+    case.degraded_funcs = ladder.degraded().count();
+    case.below_floor = ladder.below_floor;
     if let Err(why) = emulates_equivalently(binary, &ladder.outcome.binary) {
-        return (CaseStatus::EmulationDiverged(why), stats.0, stats.1, stats.2, stats.3, audit);
+        case.status = CaseStatus::EmulationDiverged(why);
+        return case;
     }
-    let status = if ladder.budget_exceeded {
+    case.status = if ladder.budget_exceeded {
         CaseStatus::BudgetExceeded
-    } else if ladder.fully_clean()
-        && ladder.dispositions.iter().all(|d| d.failure.is_none())
-    {
+    } else if ladder.fully_clean() && ladder.dispositions.iter().all(|d| d.failure.is_none()) {
         CaseStatus::Clean
     } else {
         CaseStatus::Degraded
     };
-    (status, stats.0, stats.1, stats.2, stats.3, audit)
+    if let Some(dir) = kill_dir {
+        case.cold_misses = stage_misses(&ladder.round_stats);
+        let trace = campaign.trace.as_ref();
+        match check_kill_points(binary, &config, &instr, &ladder, dir, &label, trace) {
+            Ok(worst) => {
+                case.kill_points = ladder.rounds - 1;
+                case.max_rerun_misses = worst;
+            }
+            Err(why) => case.status = CaseStatus::KillDiverged(why),
+        }
+    }
+    case
+}
+
+/// Stage misses a run had to compute (everything not served from the
+/// in-memory cache or the persistent store).
+fn stage_misses(stats: &[RewriteStats]) -> u64 {
+    stats
+        .iter()
+        .map(|s| {
+            s.func_analyses.misses + s.fragments.misses + s.emits.misses + s.liveness.misses
+        })
+        .sum()
+}
+
+/// The kill domain's oracle for one case. For every round boundary `k`
+/// in `1..rounds` of `reference`, stop a run on a fresh store after `k`
+/// rounds (the deterministic stand-in for SIGKILL: the stop lands after
+/// the round's store flush, exactly the state a kill leaves behind),
+/// then re-run from scratch over that store with a fresh handle. The
+/// re-run must reproduce the reference's output bytes, dispositions
+/// and round count while computing strictly fewer stages than the cold
+/// reference. Returns the worst re-run's stage misses.
+fn check_kill_points(
+    binary: &Binary,
+    config: &RewriteConfig,
+    instr: &Instrumentation,
+    reference: &LadderOutcome,
+    dir: &Path,
+    label: &str,
+    trace: Option<&Arc<Trace>>,
+) -> Result<u64, String> {
+    let ref_bytes = serde_json::to_vec(&reference.outcome.binary).unwrap_or_default();
+    let cold_misses = stage_misses(&reference.round_stats);
+    let mut worst = 0;
+    for k in 1..reference.rounds {
+        let store_dir = dir.join(format!("{label}-k{k}"));
+        {
+            let store = open_case_store(&store_dir, trace);
+            let cache = RewriteCache::with_store(store.clone());
+            match rewrite_with_ladder_stopping_after(binary, config, instr, &cache, k) {
+                Err(LadderError::Interrupted { rounds }) if rounds == k => {}
+                Err(e) => return Err(format!("kill point {k}: expected a stop, got: {e}")),
+                Ok(_) => return Err(format!("kill point {k}: run finished instead of stopping")),
+            }
+            // Clear any injected-fault backlog so the disk state is
+            // exactly what the stopped rounds flushed: injected lock
+            // contention may have deferred records past the retry
+            // budget.
+            store.arm_faults(StoreFaults::default());
+            store.flush();
+        }
+        let cache = RewriteCache::with_store(open_case_store(&store_dir, trace));
+        let rerun = rewrite_with_ladder_cached(binary, config, instr, &cache)
+            .map_err(|e| format!("kill point {k}: re-run ladder: {e}"))?;
+        if serde_json::to_vec(&rerun.outcome.binary).unwrap_or_default() != ref_bytes {
+            return Err(format!("kill point {k}: re-run bytes diverge from reference"));
+        }
+        if rerun.dispositions != reference.dispositions {
+            return Err(format!("kill point {k}: re-run dispositions diverge from reference"));
+        }
+        if rerun.rounds != reference.rounds {
+            return Err(format!(
+                "kill point {k}: re-run took {} round(s), reference {}",
+                rerun.rounds, reference.rounds
+            ));
+        }
+        let misses = stage_misses(&rerun.round_stats);
+        worst = worst.max(misses);
+        if misses >= cold_misses {
+            return Err(format!(
+                "kill point {k}: re-run recomputed {misses} stage(s), \
+                 no better than the cold run's {cold_misses}"
+            ));
+        }
+    }
+    Ok(worst)
 }
 
 /// Dynamic oracle: same outcome class and same output stream.
@@ -428,21 +655,29 @@ fn outcome_name(o: &Outcome) -> &'static str {
 }
 
 /// Run the full campaign. `progress` is called after each case (the
-/// CLI prints a line; tests pass a no-op).
+/// CLI prints [`CaseResult::line`]; tests pass a no-op).
 ///
 /// # Errors
 ///
-/// A message naming an unknown workload; fault and rewrite problems
-/// are per-case verdicts, not campaign errors.
+/// A message naming an unknown workload or an unusable kill scratch
+/// directory; fault and rewrite problems are per-case verdicts, not
+/// campaign errors.
 pub fn run_campaign(
     config: &CampaignConfig,
     mut progress: impl FnMut(&CaseResult),
 ) -> Result<CampaignReport, String> {
     let mut report = CampaignReport::default();
-    // One persistent store for the whole campaign (content-addressed
-    // keys make sharing across workloads safe); each per-binary cache
-    // attaches to it.
-    let store = config.cache_dir.as_deref().map(|d| open_case_store(d, config.trace.as_ref()));
+    // The store domain shares one persistent store across the whole
+    // campaign (content-addressed keys make sharing across workloads
+    // safe); each per-binary cache attaches to it.
+    let store = match &config.domain {
+        FaultDomain::Analysis => None,
+        FaultDomain::Store(dir) => Some(open_case_store(dir, config.trace.as_ref())),
+        FaultDomain::Kill(dir) => {
+            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+            None
+        }
+    };
     for wl in &config.workloads {
         for arch in &config.arches {
             let binary = build_workload(wl, *arch)?;
@@ -455,20 +690,7 @@ pub fn run_campaign(
             };
             for mode in &config.modes {
                 for seed in &config.seeds {
-                    let (status, rounds, funcs, degraded_funcs, below_floor, audit) =
-                        run_case(&binary, *mode, *seed, &config.intensity, &config.policy, &cache);
-                    let case = CaseResult {
-                        workload: wl.clone(),
-                        arch: arch.to_string(),
-                        mode: mode.to_string(),
-                        seed: *seed,
-                        status,
-                        rounds,
-                        funcs,
-                        degraded_funcs,
-                        below_floor,
-                        audit,
-                    };
+                    let case = run_case(&binary, wl, *arch, *mode, *seed, config, &cache);
                     progress(&case);
                     report.cases.push(case);
                 }
@@ -480,395 +702,9 @@ pub fn run_campaign(
     }
     if let Some(store) = &store {
         // Disarm fault hooks left by the final case and flush clean.
-        store.arm_faults(icfgp_core::StoreFaults::default());
+        store.arm_faults(StoreFaults::default());
         store.flush();
         report.store = Some(store.stats());
-    }
-    Ok(report)
-}
-
-/// What a kill-and-resume campaign should sweep.
-///
-/// Unlike [`CampaignConfig`] the scratch directory is mandatory: every
-/// kill point gets its own persistent store + journal, because the
-/// whole point is proving what survives on disk.
-#[derive(Debug, Clone)]
-pub struct KillCampaignConfig {
-    /// Workload names (`small`, `switch_demo`, `spec:NAME`).
-    pub workloads: Vec<String>,
-    /// Architectures to cover.
-    pub arches: Vec<Arch>,
-    /// Requested rewriting modes.
-    pub modes: Vec<RewriteMode>,
-    /// Fault seeds; each seed is one independent fault plan.
-    pub seeds: Vec<u64>,
-    /// Fault-plan intensity (`none`/`quiet`/`standard`/`aggressive`).
-    pub intensity: String,
-    /// Degradation policy applied to every case.
-    pub policy: DegradationPolicy,
-    /// Scratch directory; each (case, kill point) uses a fresh
-    /// subdirectory for its store and journal.
-    pub dir: PathBuf,
-    /// Shared trace spine every case's stores emit onto (`--trace`);
-    /// `None` keeps per-case private collectors.
-    pub trace: Option<Arc<Trace>>,
-}
-
-impl Default for KillCampaignConfig {
-    fn default() -> KillCampaignConfig {
-        KillCampaignConfig {
-            workloads: vec!["small".into()],
-            arches: vec![Arch::X64],
-            // Under the standard plan, `small` ladders through 3 (jt)
-            // and 4 (func-ptr) rounds on most seeds — real kill points,
-            // not trivial one-round passes.
-            modes: vec![RewriteMode::Jt, RewriteMode::FuncPtr],
-            seeds: vec![2, 3],
-            intensity: "standard".into(),
-            policy: DegradationPolicy::default(),
-            dir: std::env::temp_dir().join(format!("icfgp-kill-{}", std::process::id())),
-            trace: None,
-        }
-    }
-}
-
-/// One kill-and-resume case: every journal boundary of one
-/// (workload, arch, mode, seed) run, each killed and resumed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KillCaseResult {
-    /// Workload name.
-    pub workload: String,
-    /// Architecture.
-    pub arch: String,
-    /// Requested mode.
-    pub mode: String,
-    /// Fault seed.
-    pub seed: u64,
-    /// Rounds the uninterrupted reference run executed.
-    pub rounds: usize,
-    /// Kill points exercised (`rounds - 1`; 0 when the reference
-    /// converged in one round and the case passes trivially).
-    pub kill_points: usize,
-    /// Every kill point resumed to byte-identical output, identical
-    /// dispositions, and strictly fewer stage misses than cold.
-    pub passed: bool,
-    /// The first failure, or a note for trivial passes.
-    pub detail: String,
-    /// Stage misses (analysis + fragment + emit + liveness) of the
-    /// cold reference run.
-    pub cold_misses: u64,
-    /// Worst resumed-run stage-miss total across all kill points
-    /// (must stay below `cold_misses` — resume redoes strictly less).
-    pub max_resumed_misses: u64,
-}
-
-/// Aggregated kill-and-resume campaign results.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KillReport {
-    /// Every case, in sweep order.
-    pub cases: Vec<KillCaseResult>,
-}
-
-impl KillReport {
-    /// Campaign verdict: 0 when every kill point resumed correctly,
-    /// 2 when any byte-identity / disposition / warm-start oracle
-    /// failed (a robustness failure, same class as a ladder failure).
-    #[must_use]
-    pub fn exit_code(&self) -> u8 {
-        if self.cases.iter().all(|c| c.passed) {
-            0
-        } else {
-            2
-        }
-    }
-
-    /// Render the per-case table and verdict line.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for c in &self.cases {
-            let _ = writeln!(
-                out,
-                "{:<34} seed {:>3}  {} round(s), {} kill point(s): {}{}",
-                format!("{}/{}/{}", c.workload, c.arch, c.mode),
-                c.seed,
-                c.rounds,
-                c.kill_points,
-                if c.passed { "ok" } else { "FAILED" },
-                if c.detail.is_empty() {
-                    format!(
-                        " (misses {} cold / {} worst resumed)",
-                        c.cold_misses, c.max_resumed_misses
-                    )
-                } else {
-                    format!(" — {}", c.detail)
-                },
-            );
-        }
-        let failed = self.cases.iter().filter(|c| !c.passed).count();
-        let _ = write!(
-            out,
-            "{} kill-and-resume case(s): {} passed, {} failed",
-            self.cases.len(),
-            self.cases.len() - failed,
-            failed,
-        );
-        out
-    }
-}
-
-/// Stage misses a run had to compute (everything not served from the
-/// in-memory cache or the persistent store).
-fn stage_misses(stats: &[RewriteStats]) -> u64 {
-    stats
-        .iter()
-        .map(|s| {
-            s.func_analyses.misses + s.fragments.misses + s.emits.misses + s.liveness.misses
-        })
-        .sum()
-}
-
-/// Run one kill-and-resume case.
-///
-/// First an uninterrupted supervised run establishes the reference
-/// (output bytes, dispositions, cold stage-miss count, round count).
-/// Then for every journal boundary `k` in `1..rounds`, a fresh store
-/// directory hosts a run aborted after `k` rounds (the deterministic
-/// stand-in for SIGKILL — the abort lands after the round's store
-/// flush and journal append, exactly the state a kill leaves behind),
-/// and a second process-equivalent (fresh store handle, journal
-/// replay) resumes it. The oracles:
-///
-/// 1. resumed output bytes == reference output bytes;
-/// 2. resumed [`icfgp_verify::FuncDisposition`]s == reference's;
-/// 3. resumed total rounds == reference rounds, with exactly `k`
-///    replayed;
-/// 4. the resumed run's stage misses stay strictly below the cold
-///    reference's — resume redoes strictly less work.
-#[must_use]
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-pub fn run_kill_case(
-    binary: &Binary,
-    workload: &str,
-    arch: Arch,
-    mode: RewriteMode,
-    seed: u64,
-    intensity: &str,
-    policy: &DegradationPolicy,
-    dir: &Path,
-    trace: Option<&Arc<Trace>>,
-) -> KillCaseResult {
-    let mut config = RewriteConfig::new(mode);
-    config.fault_plan = FaultPlan::named(intensity, seed);
-    config.degradation = *policy;
-    let instr = Instrumentation::empty(Points::EveryBlock);
-    let bfp = binary_fingerprint(binary);
-    let cfp = config_fingerprint(&config);
-    let label = format!("{workload}-{arch}-{mode}-{seed}");
-    let mut result = KillCaseResult {
-        workload: workload.into(),
-        arch: arch.to_string(),
-        mode: mode.to_string(),
-        seed,
-        rounds: 0,
-        kill_points: 0,
-        passed: false,
-        detail: String::new(),
-        cold_misses: 0,
-        max_resumed_misses: 0,
-    };
-
-    // Reference: one uninterrupted, journaled, store-backed run.
-    let ref_dir = dir.join(format!("{label}-ref"));
-    let ref_journal = ref_dir.join("run.journal");
-    let reference = {
-        let store = open_case_store(&ref_dir, trace);
-        let cache = RewriteCache::with_store(store);
-        let journal = match RunJournal::create(&ref_journal, bfp, cfp) {
-            Ok(j) => j,
-            Err(e) => {
-                result.detail = format!("reference journal: {e}");
-                return result;
-            }
-        };
-        let sup = Supervisor { journal: Some(&journal), ..Supervisor::default() };
-        match rewrite_with_ladder_supervised(binary, &config, &instr, &cache, &sup) {
-            Ok(l) => l,
-            Err(e) => {
-                result.detail = format!("reference ladder: {e}");
-                return result;
-            }
-        }
-    };
-    result.rounds = reference.rounds;
-    result.cold_misses = stage_misses(&reference.round_stats);
-    let ref_bytes = serde_json::to_vec(&reference.outcome.binary).unwrap_or_default();
-    // The reference journal must read back as a completed run.
-    match RunJournal::load(&ref_journal) {
-        Ok(r) if r.complete && r.rounds.len() == reference.rounds => {}
-        Ok(r) => {
-            result.detail = format!(
-                "reference journal incomplete: {} round(s), complete={}",
-                r.rounds.len(),
-                r.complete
-            );
-            return result;
-        }
-        Err(e) => {
-            result.detail = format!("reference journal load: {e}");
-            return result;
-        }
-    }
-    if let Err(why) = emulates_equivalently(binary, &reference.outcome.binary) {
-        result.detail = format!("reference emulation: {why}");
-        return result;
-    }
-    if reference.rounds <= 1 {
-        result.passed = true;
-        result.detail = "converged in one round; no kill points".into();
-        return result;
-    }
-    result.kill_points = reference.rounds - 1;
-
-    for k in 1..reference.rounds {
-        let case_dir = dir.join(format!("{label}-k{k}"));
-        let journal_path = case_dir.join("run.journal");
-        // The run that dies: abort after k journaled-and-flushed
-        // rounds, then drop every handle (the kill).
-        {
-            let store = open_case_store(&case_dir, trace);
-            let cache = RewriteCache::with_store(store.clone());
-            let journal = match RunJournal::create(&journal_path, bfp, cfp) {
-                Ok(j) => j,
-                Err(e) => {
-                    result.detail = format!("kill point {k}: journal: {e}");
-                    return result;
-                }
-            };
-            let sup = Supervisor {
-                journal: Some(&journal),
-                abort_after_rounds: Some(k),
-                ..Supervisor::default()
-            };
-            match rewrite_with_ladder_supervised(binary, &config, &instr, &cache, &sup) {
-                Err(LadderError::Interrupted { rounds }) if rounds == k => {}
-                Err(e) => {
-                    result.detail = format!("kill point {k}: expected interrupt, got: {e}");
-                    return result;
-                }
-                Ok(_) => {
-                    result.detail =
-                        format!("kill point {k}: run finished instead of aborting");
-                    return result;
-                }
-            }
-            // Clear any injected-fault backlog so the disk state is
-            // exactly "everything the journal acknowledged": the
-            // supervised ladder flushed each round, but injected lock
-            // contention may have deferred records past the retry
-            // budget.
-            store.arm_faults(icfgp_core::StoreFaults::default());
-            store.flush();
-        }
-        // The resume: a fresh process-equivalent loads the journal and
-        // the warm store and picks up at round k+1.
-        let replay = match RunJournal::load(&journal_path) {
-            Ok(r) => r,
-            Err(e) => {
-                result.detail = format!("kill point {k}: journal load: {e}");
-                return result;
-            }
-        };
-        if replay.complete
-            || replay.rounds.len() != k
-            || replay.header.binary_fp != bfp
-            || replay.header.config_fp != cfp
-        {
-            result.detail = format!(
-                "kill point {k}: journal replay mismatch ({} round(s), complete={})",
-                replay.rounds.len(),
-                replay.complete
-            );
-            return result;
-        }
-        let resumed = {
-            let store = open_case_store(&case_dir, trace);
-            let cache = RewriteCache::with_store(store);
-            let sup = Supervisor { resume: Some(&replay), ..Supervisor::default() };
-            match rewrite_with_ladder_supervised(binary, &config, &instr, &cache, &sup) {
-                Ok(l) => l,
-                Err(e) => {
-                    result.detail = format!("kill point {k}: resume ladder: {e}");
-                    return result;
-                }
-            }
-        };
-        if serde_json::to_vec(&resumed.outcome.binary).unwrap_or_default() != ref_bytes {
-            result.detail = format!("kill point {k}: resumed bytes diverge from reference");
-            return result;
-        }
-        if resumed.dispositions != reference.dispositions {
-            result.detail =
-                format!("kill point {k}: resumed dispositions diverge from reference");
-            return result;
-        }
-        if resumed.rounds != reference.rounds || resumed.resumed_rounds != k {
-            result.detail = format!(
-                "kill point {k}: resumed {} of {} round(s), expected {} of {}",
-                resumed.resumed_rounds, resumed.rounds, k, reference.rounds
-            );
-            return result;
-        }
-        let resumed_misses = stage_misses(&resumed.round_stats);
-        result.max_resumed_misses = result.max_resumed_misses.max(resumed_misses);
-        if resumed_misses >= result.cold_misses {
-            result.detail = format!(
-                "kill point {k}: resume recomputed {resumed_misses} stage(s), \
-                 no better than the cold run's {}",
-                result.cold_misses
-            );
-            return result;
-        }
-    }
-    result.passed = true;
-    result
-}
-
-/// Run the full kill-and-resume campaign. `progress` is called after
-/// each case.
-///
-/// # Errors
-///
-/// A message naming an unknown workload or an unusable scratch
-/// directory; per-kill-point oracle failures are case verdicts.
-pub fn run_kill_campaign(
-    config: &KillCampaignConfig,
-    mut progress: impl FnMut(&KillCaseResult),
-) -> Result<KillReport, String> {
-    std::fs::create_dir_all(&config.dir)
-        .map_err(|e| format!("create {}: {e}", config.dir.display()))?;
-    let mut report = KillReport::default();
-    for wl in &config.workloads {
-        for arch in &config.arches {
-            let binary = build_workload(wl, *arch)?;
-            for mode in &config.modes {
-                for seed in &config.seeds {
-                    let case = run_kill_case(
-                        &binary,
-                        wl,
-                        *arch,
-                        *mode,
-                        *seed,
-                        &config.intensity,
-                        &config.policy,
-                        &config.dir,
-                        config.trace.as_ref(),
-                    );
-                    progress(&case);
-                    report.cases.push(case);
-                }
-            }
-        }
     }
     Ok(report)
 }
@@ -883,24 +719,6 @@ fn open_case_store(dir: &Path, trace: Option<&Arc<Trace>>) -> Arc<CacheStore> {
             Arc::clone(t),
         )),
         None => Arc::new(CacheStore::open(dir)),
-    }
-}
-
-/// Parse a `--floor` CLI value.
-///
-/// # Errors
-///
-/// A message listing the accepted values.
-pub fn parse_floor(s: &str) -> Result<FuncMode, String> {
-    match s {
-        "dir" => Ok(FuncMode::Full(RewriteMode::Dir)),
-        "jt" => Ok(FuncMode::Full(RewriteMode::Jt)),
-        "func-ptr" => Ok(FuncMode::Full(RewriteMode::FuncPtr)),
-        "trap-only" => Ok(FuncMode::TrapOnly),
-        "skip" => Ok(FuncMode::Skip),
-        other => Err(format!(
-            "unknown floor {other}; expected dir|jt|func-ptr|trap-only|skip"
-        )),
     }
 }
 
@@ -919,8 +737,8 @@ mod tests {
         };
         let report = run_campaign(&config, |_| {}).unwrap();
         assert_eq!(report.cases.len(), 2);
-        assert!(report.exit_code() <= 1, "{}", report.render_matrix(&config.seeds));
-        let matrix = report.render_matrix(&config.seeds);
+        assert!(report.exit_code() <= 1, "{}", report.render(&config.seeds));
+        let matrix = report.render(&config.seeds);
         assert!(matrix.contains("switch_demo/x86-64/jt"), "{matrix}");
         // The third oracle: the auditor graded every case, and no
         // verify-forced demotion landed on a proven function.
@@ -935,26 +753,27 @@ mod tests {
         let dir = std::env::temp_dir()
             .join(format!("icfgp-kill-smoke-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = KillCampaignConfig {
-            workloads: vec!["small".into()],
-            arches: vec![Arch::X64],
+        let config = CampaignConfig {
             modes: vec![RewriteMode::Jt],
             seeds: vec![2],
-            intensity: "standard".into(),
-            dir: dir.clone(),
-            ..KillCampaignConfig::default()
+            ..CampaignConfig::kill(dir.clone())
         };
-        let report = run_kill_campaign(&config, |_| {}).unwrap();
+        let report = run_campaign(&config, |_| {}).unwrap();
+        let render = report.render(&config.seeds);
         assert_eq!(report.cases.len(), 1);
-        assert_eq!(report.exit_code(), 0, "{}", report.render());
+        // Every kill point re-ran to the reference: no oracle failed.
+        // The case itself degrades under its faults, so it exits 1.
+        assert_eq!(report.count(2), 0, "{render}");
         // Standard seed 2 demotes at least one function on `small`, so
         // the case exercises real kill points, not the trivial path.
         let case = &report.cases[0];
-        assert!(case.rounds > 1, "{}", report.render());
-        assert!(case.kill_points >= 1, "{}", report.render());
-        assert!(case.max_resumed_misses < case.cold_misses, "{}", report.render());
+        assert!(case.rounds > 1, "{render}");
+        assert!(case.kill_points >= 1, "{render}");
+        assert!(case.max_rerun_misses < case.cold_misses, "{render}");
+        assert_eq!(report.audit_totals().demoted_proven, 0, "{render}");
+        assert!(render.contains("kill:"), "{render}");
         let json = serde_json::to_string(&report).unwrap();
-        let back: KillReport = serde_json::from_str(&json).unwrap();
+        let back: CampaignReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1017,6 +836,7 @@ mod tests {
         assert_eq!(CaseStatus::BudgetExceeded.exit_code(), 1);
         assert_eq!(CaseStatus::LadderFailed("x".into()).exit_code(), 2);
         assert_eq!(CaseStatus::EmulationDiverged("x".into()).exit_code(), 2);
+        assert_eq!(CaseStatus::KillDiverged("x".into()).exit_code(), 2);
     }
 
     #[test]
@@ -1039,6 +859,9 @@ mod tests {
                 unknown: 0,
                 demoted_proven: 0,
             },
+            kill_points: 2,
+            cold_misses: 40,
+            max_rerun_misses: 6,
         });
         let json = serde_json::to_string(&r).unwrap();
         let back: CampaignReport = serde_json::from_str(&json).unwrap();

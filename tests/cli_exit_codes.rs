@@ -346,12 +346,15 @@ fn unknown_flags_and_removed_surfaces_are_usage_errors() {
     assert!(!store.exists() && !rw.exists(), "a usage error must do no work");
     // The remote store tier is gone: its flag, the network chaos
     // domain and the server subcommand are all unknown now, and so is
-    // any other cache subcommand.
-    let cases: [&[&str]; 4] = [
+    // any other cache subcommand. So is the run journal: the store is
+    // the only crash-recovery path.
+    let cases: [&[&str]; 6] = [
         &["rewrite", "x.json", "--store-url", "icfgp://127.0.0.1:9", "-o", "y.json"],
         &["chaos", "--net"],
         &["cache", "serve", "127.0.0.1:0", "--cache-dir", "d"],
         &["cache", "bogus", "--cache-dir", "d"],
+        &["rewrite", "x.json", "--journal", "x.journal", "-o", "y.json"],
+        &["rewrite", "x.json", "--resume", "-o", "y.json"],
     ];
     for args in cases {
         let out = icfgp().args(args).output().expect("runs");
@@ -410,85 +413,133 @@ fn overlapping_function_symbols_are_rejected_at_load() {
 }
 
 #[test]
-fn resume_contract_journal_required_and_byte_identical() {
+fn warm_rerun_under_fault_seed_is_byte_identical() {
+    // Recovery after a crash or kill is a plain re-run over the same
+    // store. A fault-seeded run ladders through several rounds and
+    // degrades within budget (exit 1); re-running it over the store it
+    // filled must give the same bytes and the same exit code, served
+    // from the store, and both must match a storeless run.
     let raw = gen_switch_demo();
-    let rw = tmp("resume-rw.json");
-    let rw2 = tmp("resume-rw2.json");
-    let journal = tmp("resume.journal");
-    let dir = tmp("resume-store");
+    let dir = tmp("rerun-store");
     let _ = std::fs::remove_dir_all(&dir);
+    let faulted = ["--mode", "jt", "--fault-seed", "1", "--budget", "1.0"];
+    let rewrite = |store: Option<&PathBuf>, out: &PathBuf| {
+        let mut cmd = icfgp();
+        cmd.arg("rewrite").arg(&raw).args(faulted).arg("--stats");
+        if let Some(dir) = store {
+            cmd.arg("--cache-dir").arg(dir);
+        }
+        cmd.arg("-o").arg(out).output().expect("rewrite runs")
+    };
+    let (cold, first, rerun) = (tmp("cold.json"), tmp("first.json"), tmp("rerun.json"));
+    for (out, store) in [(&cold, None), (&first, Some(&dir)), (&rerun, Some(&dir))] {
+        let run = rewrite(store, out);
+        assert_eq!(run.status.code(), Some(1), "{}", String::from_utf8_lossy(&run.stderr));
+        if out == &rerun {
+            let stdout = String::from_utf8_lossy(&run.stdout);
+            assert!(stdout.contains("cache store:") && !stdout.contains(" 0 hit "), "{stdout}");
+        }
+    }
+    let bytes = std::fs::read(&cold).unwrap();
+    assert_eq!(bytes, std::fs::read(&first).unwrap(), "the store must not change output bytes");
+    assert_eq!(bytes, std::fs::read(&rerun).unwrap(), "a re-run must not change output bytes");
+    for f in [&raw, &cold, &first, &rerun] {
+        let _ = std::fs::remove_file(f);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    // --resume without --journal is a usage error.
-    let out = icfgp()
-        .args(["rewrite"])
-        .arg(&raw)
-        .args(["--mode", "jt", "--resume", "-o"])
-        .arg(&rw)
-        .output()
-        .expect("rewrite runs");
-    assert_eq!(out.status.code(), Some(64), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--journal"));
+#[test]
+fn malformed_flag_values_are_usage_errors() {
+    // Every value-taking flag has one parser: a malformed value exits
+    // 64 with the accepted values, before any work, instead of falling
+    // back to a default or surfacing as an internal error.
+    let raw = gen_switch_demo();
+    let out = tmp("never.json");
+    let f = raw.to_str().unwrap();
+    let o = out.to_str().unwrap();
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["rewrite", f, "--mode", "bogus", "-o", o], "dir|jt|func-ptr"),
+        (vec!["rewrite", f, "--unwind", "bogus", "-o", o], "ra|emulate|none"),
+        (vec!["rewrite", f, "--points", "bogus", "-o", o], "blocks|entries|none"),
+        (vec!["rewrite", f, "--budget", "x", "-o", o], "fraction"),
+        (vec!["rewrite", f, "--fault-seed", "x", "-o", o], "unsigned integer"),
+        (vec!["rewrite", f, "--intensity", "x", "-o", o], "standard"),
+        (vec!["rewrite", f, "--floor", "x", "-o", o], "trap-only"),
+        (vec!["rewrite", f, "--func-timeout-ms", "x", "-o", o], "unsigned integer"),
+        (vec!["verify", f, "--mode", "bogus"], "dir|jt|func-ptr"),
+        (vec!["fleet", f, "--points", "bogus"], "blocks|entries|none"),
+        (vec!["audit", f, "--mode", "bogus"], "dir|jt|func-ptr"),
+        (vec!["gen", "--workload", "small", "--arch", "bogus", "-o", o], "x64"),
+        (vec!["gen", "--workload", "small", "--seed", "x", "-o", o], "unsigned integer"),
+        (vec!["gen", "--workload", "nope", "-o", o], "switch_demo"),
+        (vec!["run", f, "--fuel", "x"], "unsigned integer"),
+        (vec!["run", f, "--bias", "zz"], "hex"),
+        (vec!["chaos", "--seeds", "x"], "unsigned integer"),
+        (vec!["chaos", "--mode", "bogus"], "dir|jt|func-ptr"),
+        (vec!["chaos", "--workloads", "small,nope"], "switch_demo"),
+        (vec!["chaos", "--arch", "bogus", "--kill-resume"], "x86-64"),
+        (vec!["cache", "corrupt", "--cache-dir", o, "--kind", "bogus"], "bit-flip"),
+    ];
+    for (args, accepted) in cases {
+        let run = icfgp().args(&args).output().expect("runs");
+        let err = String::from_utf8_lossy(&run.stderr).to_string();
+        assert_eq!(run.status.code(), Some(64), "{args:?}: {err}");
+        assert!(err.contains(accepted), "{args:?} must list the accepted values: {err}");
+        assert!(!out.exists(), "{args:?}: a usage error must do no work");
+    }
+    // Every spelling in use stays accepted: `x64` is `x86-64`.
+    let (a, b) = (tmp("x64.json"), tmp("x86-64.json"));
+    for (arch, path) in [("x64", &a), ("x86-64", &b)] {
+        let run = icfgp()
+            .args(["gen", "--workload", "small", "--arch", arch, "-o"])
+            .arg(path)
+            .output()
+            .expect("gen runs");
+        assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
+    }
+    assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+    for f in [&raw, &a, &b] {
+        let _ = std::fs::remove_file(f);
+    }
+}
 
-    // A journaled run followed by --resume replays the journal and
-    // produces byte-identical output under the same exit contract.
-    let first = icfgp()
-        .args(["rewrite"])
-        .arg(&raw)
-        .args(["--mode", "jt", "--fault-seed", "1", "--budget", "1.0", "--journal"])
-        .arg(&journal)
-        .args(["--cache-dir"])
-        .arg(&dir)
-        .arg("-o")
-        .arg(&rw)
-        .output()
-        .expect("rewrite runs");
-    assert_eq!(first.status.code(), Some(1), "{}", String::from_utf8_lossy(&first.stderr));
-    let resumed = icfgp()
-        .args(["rewrite"])
-        .arg(&raw)
-        .args(["--mode", "jt", "--fault-seed", "1", "--budget", "1.0", "--journal"])
-        .arg(&journal)
-        .args(["--resume", "--cache-dir"])
-        .arg(&dir)
-        .arg("-o")
-        .arg(&rw2)
-        .output()
-        .expect("rewrite runs");
-    assert_eq!(resumed.status.code(), Some(1), "{}", String::from_utf8_lossy(&resumed.stderr));
-    assert!(
-        String::from_utf8_lossy(&resumed.stdout).contains("resumed"),
-        "{}",
-        String::from_utf8_lossy(&resumed.stdout)
-    );
-    assert_eq!(
-        std::fs::read(&rw).unwrap(),
-        std::fs::read(&rw2).unwrap(),
-        "resume must not change output bytes"
-    );
-
-    // Resuming under a different configuration refuses (exit 3): the
-    // journal's config fingerprint no longer matches.
-    let mismatched = icfgp()
-        .args(["rewrite"])
-        .arg(&raw)
-        .args(["--mode", "dir", "--journal"])
-        .arg(&journal)
-        .args(["--resume", "-o"])
-        .arg(&rw2)
-        .output()
-        .expect("rewrite runs");
-    assert_eq!(mismatched.status.code(), Some(3), "{}", String::from_utf8_lossy(&mismatched.stderr));
-    assert!(
-        String::from_utf8_lossy(&mismatched.stderr).contains("refusing to resume"),
-        "{}",
-        String::from_utf8_lossy(&mismatched.stderr)
-    );
-
+#[test]
+fn out_of_bounds_function_symbols_are_rejected_at_load() {
+    // A function size that wraps the address space used to panic in
+    // the section reader (exit 101); symbols out of address order were
+    // misreported as overlapping. Both are malformed input: exit 3.
+    let raw = gen_switch_demo();
+    let binary: incremental_cfg_patching::obj::Binary =
+        serde_json::from_slice(&std::fs::read(&raw).unwrap()).unwrap();
+    let mut wrap = binary.clone();
+    let victim = wrap
+        .symbols_mut()
+        .iter_mut()
+        .find(|s| s.kind == incremental_cfg_patching::obj::SymbolKind::Func && s.size > 0)
+        .unwrap();
+    victim.size = u64::MAX;
+    let mut unsorted = binary;
+    let n = unsorted.symbols().len();
+    unsorted.symbols_mut().swap(0, n - 1);
+    for (bad, why) in [(wrap, "executable section"), (unsorted, "out of address order")] {
+        let path = tmp("bad.json");
+        std::fs::write(&path, serde_json::to_vec(&bad).unwrap()).unwrap();
+        let rw = tmp("bad.rw.json");
+        let out = icfgp()
+            .arg("rewrite")
+            .arg(&path)
+            .args(["--mode", "jt", "-o"])
+            .arg(&rw)
+            .output()
+            .expect("rewrite runs");
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert_eq!(out.status.code(), Some(3), "{err}");
+        assert!(err.contains(why), "{err}");
+        assert!(!rw.exists(), "a rejected input must produce no output");
+        let _ = std::fs::remove_file(&path);
+    }
     let _ = std::fs::remove_file(&raw);
-    let _ = std::fs::remove_file(&rw);
-    let _ = std::fs::remove_file(&rw2);
-    let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

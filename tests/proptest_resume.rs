@@ -1,25 +1,28 @@
-//! Crash-resume equivalence (satellite of the supervised-rewriting
-//! PR): killing a journaled ladder run at *any* journal boundary and
-//! resuming it must reproduce the uninterrupted run exactly —
+//! Crash-recovery equivalence: the persistent store is the only
+//! recovery path. Killing a store-backed ladder run at *any* round
+//! boundary and then re-running the same rewrite over the same store
+//! must reproduce the uninterrupted run exactly —
 //!
-//! 1. **Byte identity** — the resumed outcome's binary serialises to
-//!    the same bytes as the uninterrupted reference;
-//! 2. **Disposition identity** — per-function `FuncDisposition`
+//! 1. **Kill point** — the stopped run reports exactly the rounds it
+//!    ran, so the kill lands on the boundary under test;
+//! 2. **Byte identity** — the re-run's binary serialises to the same
+//!    bytes as the uninterrupted reference;
+//! 3. **Disposition identity** — per-function `FuncDisposition`
 //!    records (achieved modes, ladder steps, failures) are equal;
-//! 3. **Accounting** — the resumed run reports the same total round
-//!    count, with exactly the killed rounds replayed;
+//! 4. **Accounting** — the re-run takes the same number of rounds;
 //!
 //! across workload seeds, rewrite modes, fault seeds and thread
-//! counts. Kills are the supervisor's deterministic abort, which
-//! lands after a round's store flush + journal append — exactly the
-//! disk state SIGKILL leaves behind.
+//! counts. Kills are the ladder's deterministic stop hook, which lands
+//! after a round's store flush — exactly the disk state SIGKILL leaves
+//! behind.
 
 use incremental_cfg_patching::core::{
-    binary_fingerprint, config_fingerprint, CacheStore, FaultPlan, Instrumentation, Points,
-    RewriteCache, RewriteConfig, RewriteMode, RunJournal,
+    CacheStore, FaultPlan, Instrumentation, Points, RewriteCache, RewriteConfig, RewriteMode,
 };
 use incremental_cfg_patching::isa::Arch;
-use incremental_cfg_patching::verify::{rewrite_with_ladder_supervised, LadderError, Supervisor};
+use incremental_cfg_patching::verify::{
+    rewrite_with_ladder_cached, rewrite_with_ladder_stopping_after, LadderError,
+};
 use incremental_cfg_patching::workloads::{generate, GenParams};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -60,73 +63,46 @@ proptest! {
         config.fault_plan = FaultPlan::named("standard", fault_seed);
         config.degradation.max_below_floor = 1.0;
         let instr = Instrumentation::empty(Points::EveryBlock);
-        let bfp = binary_fingerprint(&w.binary);
-        let cfp = config_fingerprint(&config);
+        let store_cache = |dir: &PathBuf| RewriteCache::with_store(Arc::new(CacheStore::open(dir)));
 
-        // Uninterrupted reference, journaled and store-backed like the
-        // runs under test.
+        // Uninterrupted reference, store-backed like the runs under test.
         let scratch = tmp_dir(&format!("{mode}-{wl_seed}-{fault_seed}-{threads}"));
-        let ref_dir = scratch.join("ref");
-        let reference = {
-            let store = Arc::new(CacheStore::open(&ref_dir));
-            let cache = RewriteCache::with_store(store);
-            let journal = RunJournal::create(&ref_dir.join("run.journal"), bfp, cfp)
-                .map_err(|e| TestCaseError::fail(e.to_string()))?;
-            let sup = Supervisor { journal: Some(&journal), ..Supervisor::default() };
-            rewrite_with_ladder_supervised(&w.binary, &config, &instr, &cache, &sup)
-                .map_err(|e| TestCaseError::fail(format!("reference ladder: {e}")))?
-        };
+        let reference =
+            rewrite_with_ladder_cached(&w.binary, &config, &instr, &store_cache(&scratch.join("ref")))
+                .map_err(|e| TestCaseError::fail(format!("reference ladder: {e}")))?;
         let ref_bytes = serde_json::to_vec(&reference.outcome.binary).unwrap();
 
         for k in 1..reference.rounds {
             let case_dir = scratch.join(format!("k{k}"));
-            let journal_path = case_dir.join("run.journal");
-            {
-                let store = Arc::new(CacheStore::open(&case_dir));
-                let cache = RewriteCache::with_store(store);
-                let journal = RunJournal::create(&journal_path, bfp, cfp)
-                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                let sup = Supervisor {
-                    journal: Some(&journal),
-                    abort_after_rounds: Some(k),
-                    ..Supervisor::default()
-                };
-                match rewrite_with_ladder_supervised(&w.binary, &config, &instr, &cache, &sup) {
-                    Err(LadderError::Interrupted { rounds }) => prop_assert_eq!(rounds, k),
-                    other => {
-                        return Err(TestCaseError::fail(format!(
-                            "kill point {k}: expected interrupt, got {other:?}"
-                        )))
-                    }
+            match rewrite_with_ladder_stopping_after(
+                &w.binary,
+                &config,
+                &instr,
+                &store_cache(&case_dir),
+                k,
+            ) {
+                Err(LadderError::Interrupted { rounds }) => prop_assert_eq!(rounds, k),
+                other => {
+                    return Err(TestCaseError::fail(format!(
+                        "kill point {k}: expected a stop, got {other:?}"
+                    )))
                 }
             }
-            let replay = RunJournal::load(&journal_path)
-                .map_err(|e| TestCaseError::fail(format!("kill point {k}: {e}")))?;
-            prop_assert_eq!(replay.rounds.len(), k, "journal must hold the killed rounds");
-            prop_assert!(!replay.complete, "a killed run must not read as complete");
-            prop_assert_eq!(replay.header.binary_fp, bfp);
-            prop_assert_eq!(replay.header.config_fp, cfp);
-            let resumed = {
-                let store = Arc::new(CacheStore::open(&case_dir));
-                let cache = RewriteCache::with_store(store);
-                let sup = Supervisor { resume: Some(&replay), ..Supervisor::default() };
-                rewrite_with_ladder_supervised(&w.binary, &config, &instr, &cache, &sup)
-                    .map_err(|e| TestCaseError::fail(format!("kill point {k}: resume: {e}")))?
-            };
+            let rerun = rewrite_with_ladder_cached(&w.binary, &config, &instr, &store_cache(&case_dir))
+                .map_err(|e| TestCaseError::fail(format!("kill point {k}: re-run: {e}")))?;
             prop_assert_eq!(
-                serde_json::to_vec(&resumed.outcome.binary).unwrap(),
+                serde_json::to_vec(&rerun.outcome.binary).unwrap(),
                 ref_bytes.clone(),
-                "kill point {}: resumed bytes diverge",
+                "kill point {}: re-run bytes diverge",
                 k
             );
             prop_assert_eq!(
-                &resumed.dispositions,
+                &rerun.dispositions,
                 &reference.dispositions,
-                "kill point {}: resumed dispositions diverge",
+                "kill point {}: re-run dispositions diverge",
                 k
             );
-            prop_assert_eq!(resumed.rounds, reference.rounds);
-            prop_assert_eq!(resumed.resumed_rounds, k);
+            prop_assert_eq!(rerun.rounds, reference.rounds);
         }
         let _ = std::fs::remove_dir_all(&scratch);
     }
