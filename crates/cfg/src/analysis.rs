@@ -7,6 +7,7 @@ use crate::jumptable::{analyze_jump, JtFail, SliceCtx};
 use icfgp_isa::{decode, AluOp, Arch, Inst, Reg};
 use icfgp_obj::{Binary, Symbol};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
@@ -289,7 +290,11 @@ impl fmt::Display for AnalysisFailure {
 pub struct BinaryAnalysis {
     /// Per-function CFGs, keyed by entry address.
     pub funcs: BTreeMap<u64, FuncCfg>,
-    /// Function-pointer definitions (empty unless requested).
+    /// Function-pointer definitions (empty unless requested), sorted
+    /// and deduplicated: every [`crate::FpDefSite::DataSlot`] by slot
+    /// address, then every [`crate::FpDefSite::CodeImm`] by instruction
+    /// address.
+    /// [`BinaryAnalysis::code_fp_defs_in`] binary-searches this order.
     pub fp_defs: Vec<FpDef>,
     /// Known data-access boundaries used for table-end extension.
     pub boundaries: BTreeSet<u64>,
@@ -305,6 +310,23 @@ impl BinaryAnalysis {
         }
         let ok = self.funcs.values().filter(|f| f.status == FuncStatus::Ok).count();
         ok as f64 / self.funcs.len() as f64
+    }
+
+    /// The code-side definitions whose materialising instruction lies
+    /// in `[start, end)`, in `fp_defs` order: a binary search over the
+    /// sorted `fp_defs`, not a scan.
+    #[must_use]
+    pub fn code_fp_defs_in(&self, start: u64, end: u64) -> &[FpDef] {
+        let lo = self.fp_defs.partition_point(|d| funcptr::fp_def_order(d) < (1, start));
+        let hi = self.fp_defs.partition_point(|d| funcptr::fp_def_order(d) < (1, end));
+        &self.fp_defs[lo..hi.max(lo)]
+    }
+
+    /// Whether `fp_defs` holds its documented order (checked by the
+    /// passes that binary-search it, in debug builds).
+    #[must_use]
+    pub fn fp_defs_sorted(&self) -> bool {
+        self.fp_defs.is_sorted_by_key(funcptr::fp_def_order)
     }
 
     /// The function CFG containing `addr`.
@@ -424,13 +446,19 @@ pub fn assemble_analysis(
             continue;
         }
         let target = def.target_fn.wrapping_add_signed(def.delta);
-        if let Some(func) = funcs.values_mut().find(|f| target >= f.start && target < f.end) {
+        // Non-empty function ranges do not overlap
+        // (`Binary::validate_layout`), so only the last non-empty
+        // function starting at or below `target` can hold it.
+        let owner = funcs.range_mut(..=target).rev().map(|(_, f)| f).find(|f| f.start < f.end);
+        if let Some(func) = owner.filter(|f| target >= f.start && target < f.end) {
             if func.split_block_at(target) && !func.fp_landing_targets.contains(&target) {
                 func.fp_landing_targets.push(target);
             }
         }
     }
-    BinaryAnalysis { funcs, fp_defs, boundaries }
+    let analysis = BinaryAnalysis { funcs, fp_defs, boundaries };
+    debug_assert!(analysis.fp_defs_sorted());
+    analysis
 }
 
 thread_local! {
@@ -679,7 +707,9 @@ pub fn analyze_function(
     let mut analyzed_jumps: HashSet<u64> = HashSet::new();
     let mut decode_failure: Option<u64> = None;
     let mut insts;
-    let mut local_boundaries = boundaries.clone();
+    // Tables found here extend the caller's set for this function's
+    // later slices only; copy it on the first new table, not up front.
+    let mut local_boundaries = Cow::Borrowed(boundaries);
     loop {
         if let Some(ms) = config.func_timeout_ms {
             let elapsed = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
@@ -738,7 +768,9 @@ pub fn analyze_function(
             match analyze_jump(&ctx, jump_addr) {
                 Ok(mut desc) => {
                     apply_injections(config, &mut desc, &insts, range);
-                    local_boundaries.insert(desc.table_addr);
+                    if !local_boundaries.contains(&desc.table_addr) {
+                        local_boundaries.to_mut().insert(desc.table_addr);
+                    }
                     for (_, t) in &desc.targets {
                         extra_starts.push(*t);
                     }

@@ -41,6 +41,7 @@ mod block;
 mod funcptr;
 mod jumptable;
 mod liveness;
+mod spans;
 
 pub use analysis::{
     analyze, analyze_function, analyze_function_isolated, assemble_analysis, prepass_boundaries,
@@ -50,3 +51,4 @@ pub use block::{Block, Edge, EdgeKind, FuncCfg};
 pub use funcptr::{FpDef, FpDefSite, FpEvidence};
 pub use jumptable::{BoundEvidence, JumpTableDesc, TableKind};
 pub use liveness::{live_in_at_blocks, LivenessResult};
+pub use spans::SpanIndex;

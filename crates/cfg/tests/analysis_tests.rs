@@ -481,3 +481,47 @@ fn landing_pads_are_block_leaders() {
     let lp = f.landing_pads[0];
     assert!(f.block_starting_at(lp).is_some(), "landing pad starts a block");
 }
+
+#[test]
+fn code_fp_defs_in_matches_a_filter_over_all_defs() {
+    // The per-function binary search over the sorted `fp_defs` returns
+    // exactly what a scan of every definition did, in the same order;
+    // fp-landing splits land in the one function holding the target.
+    for arch in [Arch::X64, Arch::Ppc64le, Arch::Aarch64] {
+        for bin in [
+            icfgp_workloads::docker_like(arch, 1, 4).binary,
+            icfgp_workloads::firefox_like(arch, 1).binary,
+        ] {
+            let a = analyze(&bin, &AnalysisConfig::default());
+            assert!(a.fp_defs_sorted(), "{arch}");
+            let goexit = bin.function_named("goexit").map(|s| s.addr);
+            if let Some(goexit) = goexit {
+                assert!(!a.funcs[&goexit].fp_landing_targets.is_empty(), "{arch}: &goexit + skip");
+            }
+            for f in a.funcs.values() {
+                let scanned: Vec<_> = a
+                    .fp_defs
+                    .iter()
+                    .filter(|d| matches!(d.site, FpDefSite::CodeImm { inst_addr, .. }
+                        if inst_addr >= f.start && inst_addr < f.end))
+                    .copied()
+                    .collect();
+                assert_eq!(a.code_fp_defs_in(f.start, f.end), &scanned[..], "{arch} {:#x}", f.entry);
+            }
+            // The range is half-open at both ends of every site.
+            for d in &a.fp_defs {
+                let FpDefSite::CodeImm { inst_addr: x, .. } = d.site else { continue };
+                assert!(a.code_fp_defs_in(x, x).is_empty(), "{arch} {x:#x}");
+                assert!(a.code_fp_defs_in(x, x + 1).contains(d), "{arch} {x:#x}");
+                assert!(!a.code_fp_defs_in(0, x).contains(d), "{arch} {x:#x}");
+            }
+            for d in a.fp_defs.iter().filter(|d| d.delta != 0) {
+                let target = d.target_fn.wrapping_add_signed(d.delta);
+                let owner = a.funcs.values().find(|f| target >= f.start && target < f.end);
+                for f in a.funcs.values().filter(|f| f.fp_landing_targets.contains(&target)) {
+                    assert_eq!(Some(f.entry), owner.map(|o| o.entry), "{arch} {target:#x}");
+                }
+            }
+        }
+    }
+}

@@ -70,7 +70,7 @@ use crate::pool;
 use crate::relocate::{FuncFragment, RelocEmit};
 use crate::rewriter::RewriteError;
 use crate::store::{CacheStore, Stage, StoreStats};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{SpanKind, Trace, TraceEvent};
 use icfgp_cfg::{
     analyze_function_isolated, assemble_analysis, prepass_boundaries, AnalysisConfig,
     BinaryAnalysis, FuncCfg, FuncStatus, LivenessResult,
@@ -1010,10 +1010,13 @@ pub fn analyze_incremental(
 ) -> AnalysisRun {
     let binary_fp = binary_fingerprint(binary);
     let config_fp = config.fingerprint();
+    let trace = cache.trace();
     if let Some(memo) = cache.analysis_memo(binary_fp, config_fp) {
-        cache
-            .trace()
-            .emit(TraceEvent::AnalysisMemo { hit: true, rounds: memo.rounds });
+        // The memo serves both stages; their spans still open (empty)
+        // so every cache path has the same span structure.
+        trace.span(SpanKind::Prepass).close();
+        trace.span(SpanKind::FpAnalysis).close();
+        trace.emit(TraceEvent::AnalysisMemo { hit: true, rounds: memo.rounds });
         return AnalysisRun {
             analysis: memo.analysis,
             func_keys: memo.func_keys,
@@ -1022,7 +1025,9 @@ pub fn analyze_incremental(
             rounds: memo.rounds,
         };
     }
+    let prepass_span = trace.span(SpanKind::Prepass);
     let pre = cache.prepass(binary_fp, binary);
+    prepass_span.close();
     let env_fp = env_fingerprint(binary);
     let syms: Vec<&icfgp_obj::Symbol> = binary.functions().collect();
     let n = syms.len();
@@ -1104,9 +1109,7 @@ pub fn analyze_incremental(
         for (&i, (cfg, ns)) in work.iter().zip(outs) {
             // Per-item timing is an orchestrator-side leaf event so the
             // stream stays deterministic across thread counts.
-            cache
-                .trace()
-                .emit(TraceEvent::FuncSpan { entry: syms[i].addr, ns });
+            trace.emit(TraceEvent::FuncSpan { entry: syms[i].addr, ns });
             analyzed[i] = Some(snaps[i].as_ref().expect("snapshot").1);
             results[i] = Some(cfg);
         }
@@ -1147,7 +1150,9 @@ pub fn analyze_incremental(
             (s.addr, k.finish())
         })
         .collect();
+    let fp_span = trace.span(SpanKind::FpAnalysis);
     let analysis = Arc::new(assemble_analysis(binary, config, funcs, final_set));
+    fp_span.close();
     let func_keys = Arc::new(func_keys);
     let weak_keys = Arc::new(weak_keys);
     cache.store_analysis(
@@ -1158,9 +1163,7 @@ pub fn analyze_incremental(
         weak_keys.clone(),
         rounds,
     );
-    cache
-        .trace()
-        .emit(TraceEvent::AnalysisMemo { hit: false, rounds });
+    trace.emit(TraceEvent::AnalysisMemo { hit: false, rounds });
     AnalysisRun {
         analysis,
         func_keys,

@@ -79,9 +79,16 @@ pub struct PlacementPlan {
 }
 
 /// Free scratch ranges shared across the whole binary.
+///
+/// Ranges are keyed by `(start, seq)`, where `seq` counts insertions:
+/// ordered by address for the outward search in
+/// [`ScratchPool::allocate_near`], with `seq` breaking distance ties
+/// in favour of the range inserted earliest.
 #[derive(Debug, Clone, Default)]
 pub struct ScratchPool {
-    ranges: Vec<(u64, u64)>,
+    /// `(start, seq)` → end.
+    ranges: BTreeMap<(u64, u64), u64>,
+    next_seq: u64,
     /// Every range ever donated, in donation order. Allocation
     /// fragments are not re-recorded, so this is the provenance log
     /// the verifier checks island allocations against.
@@ -95,10 +102,15 @@ impl ScratchPool {
         ScratchPool::default()
     }
 
+    fn insert(&mut self, start: u64, end: u64) {
+        self.ranges.insert((start, self.next_seq), end);
+        self.next_seq += 1;
+    }
+
     /// Donate a free range.
     pub fn donate(&mut self, start: u64, end: u64) {
         if end > start {
-            self.ranges.push((start, end));
+            self.insert(start, end);
             self.donations.push((start, end));
         }
     }
@@ -114,35 +126,59 @@ impl ScratchPool {
     #[allow(dead_code)] // used by tests and future placement policies
     #[must_use]
     pub fn free_bytes(&self) -> u64 {
-        self.ranges.iter().map(|(s, e)| e - s).sum()
+        self.ranges.iter().map(|(&(s, _), &e)| e - s).sum()
     }
 
     /// Allocate `size` bytes (aligned to `align`) whose start is within
     /// `max_dist` of `near`. Returns the allocated address.
+    ///
+    /// The range whose aligned start is nearest wins; on a tie, the
+    /// range inserted earliest. A range's aligned start lies in
+    /// `[start, start + align)`, so the search walks outward from
+    /// `near` in both directions and stops once a range's start alone
+    /// puts it beyond the best distance found (or `max_dist`).
     pub fn allocate_near(&mut self, near: u64, size: u64, align: u64, max_dist: u64) -> Option<u64> {
-        let mut best: Option<(usize, u64, u64)> = None; // (idx, addr, dist)
-        for (i, (s, e)) in self.ranges.iter().enumerate() {
+        let mut best: Option<((u64, u64), u64, u64)> = None; // (key, addr, dist)
+        let consider = |key: (u64, u64), e: u64, best: &mut Option<((u64, u64), u64, u64)>| {
+            let s = key.0;
             let addr = s + (align - (s % align)) % align;
-            if addr + size > *e {
-                continue;
+            if addr + size > e {
+                return;
             }
             let dist = near.abs_diff(addr);
             if dist > max_dist {
-                continue;
+                return;
             }
-            if best.is_none_or(|(_, _, d)| dist < d) {
-                best = Some((i, addr, dist));
+            if best.is_none_or(|(k, _, d)| (dist, key.1) < (d, k.1)) {
+                *best = Some((key, addr, dist));
             }
+        };
+        // No candidate beyond `max_dist` is ever kept.
+        let bound = |best: &Option<((u64, u64), u64, u64)>| best.map_or(max_dist, |b| b.2);
+        // Upward: every aligned start is at least `s`.
+        for (&key, &e) in self.ranges.range((near, 0)..) {
+            if key.0 - near > bound(&best) {
+                break;
+            }
+            consider(key, e, &mut best);
         }
-        let (i, addr, _) = best?;
-        let (s, e) = self.ranges.remove(i);
+        // Downward: every aligned start is below `s + align`.
+        for (&key, &e) in self.ranges.range(..(near, 0)).rev() {
+            if (near - key.0).saturating_sub(align - 1) > bound(&best) {
+                break;
+            }
+            consider(key, e, &mut best);
+        }
+        let (key, addr, _) = best?;
+        let e = self.ranges.remove(&key).expect("chosen range is free");
+        let s = key.0;
         // Return the two leftover fragments (without re-logging them
         // as donations — they stay covered by the original one).
         if addr > s {
-            self.ranges.push((s, addr));
+            self.insert(s, addr);
         }
         if e > addr + size {
-            self.ranges.push((addr + size, e));
+            self.insert(addr + size, e);
         }
         Some(addr)
     }
@@ -384,6 +420,93 @@ mod tests {
         let a = pool.allocate_near(0x1000, 16, 4, 0x100).unwrap();
         assert_eq!(a % 4, 0);
         assert!(a >= 0x1004);
+    }
+
+    /// The pool as a flat vector scanned per allocation, in insertion
+    /// order: the reference the indexed pool must agree with.
+    #[derive(Default)]
+    struct LinearPool {
+        ranges: Vec<(u64, u64)>,
+    }
+
+    impl LinearPool {
+        fn donate(&mut self, start: u64, end: u64) {
+            if end > start {
+                self.ranges.push((start, end));
+            }
+        }
+
+        fn allocate_near(&mut self, near: u64, size: u64, align: u64, max_dist: u64) -> Option<u64> {
+            let mut best: Option<(usize, u64, u64)> = None; // (idx, addr, dist)
+            for (i, (s, e)) in self.ranges.iter().enumerate() {
+                let addr = s + (align - (s % align)) % align;
+                if addr + size > *e {
+                    continue;
+                }
+                let dist = near.abs_diff(addr);
+                if dist > max_dist {
+                    continue;
+                }
+                if best.is_none_or(|(_, _, d)| dist < d) {
+                    best = Some((i, addr, dist));
+                }
+            }
+            let (i, addr, _) = best?;
+            let (s, e) = self.ranges.remove(i);
+            if addr > s {
+                self.ranges.push((s, addr));
+            }
+            if e > addr + size {
+                self.ranges.push((addr + size, e));
+            }
+            Some(addr)
+        }
+    }
+
+    #[test]
+    fn equal_distance_tie_goes_to_the_earliest_inserted_range() {
+        let mut pool = ScratchPool::new();
+        // 0x1100 and 0x0F00 are both 0x100 from 0x1000; the later
+        // donation sits lower in the address order.
+        pool.donate(0x1100, 0x1110);
+        pool.donate(0x0F00, 0x0F10);
+        assert_eq!(pool.allocate_near(0x1000, 8, 1, 0x1000), Some(0x1100));
+        assert_eq!(pool.allocate_near(0x1000, 8, 1, 0x1000), Some(0x0F00));
+        // The fragments left behind are newer than any donation.
+        pool.donate(0x1008, 0x1010);
+        assert_eq!(pool.allocate_near(0x1000, 8, 1, 0x1000), Some(0x1008));
+    }
+
+    proptest::proptest! {
+        /// Random donate/allocate sequences on a small address grid
+        /// (so equal-distance ties and overlapping donations are
+        /// common): every allocation matches the linear scan.
+        #[test]
+        fn indexed_pool_matches_linear_scan(
+            ops in proptest::collection::vec(
+                (0u8..3, 0u64..64, 0u64..12, 0u64..6, 0u64..3, 0u64..48),
+                1..80,
+            ),
+        ) {
+            let mut pool = ScratchPool::new();
+            let mut reference = LinearPool::default();
+            for (op, a, b, size, align_log, max_dist) in ops {
+                let (start, near) = (0x1000 + a * 4, 0x1000 + a * 4 + 2);
+                if op == 0 {
+                    pool.donate(start, start + b * 4);
+                    reference.donate(start, start + b * 4);
+                } else {
+                    let align = 1 << align_log;
+                    let max_dist = max_dist * 4;
+                    proptest::prop_assert_eq!(
+                        pool.allocate_near(near, size, align, max_dist),
+                        reference.allocate_near(near, size, align, max_dist)
+                    );
+                }
+                let free: u64 = reference.ranges.iter().map(|(s, e)| e - s).sum();
+                proptest::prop_assert_eq!(pool.free_bytes(), free);
+            }
+        }
     }
 
     #[test]

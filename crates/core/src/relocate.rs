@@ -54,7 +54,7 @@ use crate::config::{FuncMode, LayoutOrder, RewriteConfig, RewriteMode, UnwindStr
 use crate::instrument::{Instrumentation, Payload};
 use crate::pool;
 use crate::rewriter::RewriteError;
-use icfgp_cfg::{BinaryAnalysis, FpDefSite, FuncCfg, FuncStatus, JumpTableDesc};
+use icfgp_cfg::{BinaryAnalysis, FpDefSite, FuncCfg, FuncStatus, JumpTableDesc, SpanIndex};
 use icfgp_isa::{encode, Addr, AluOp, Arch, Cond, Inst, Reg, SysOp, Width};
 use icfgp_obj::{Binary, RaMap};
 use serde::{Deserialize, Serialize};
@@ -349,6 +349,11 @@ pub(crate) fn relocate(
         selected.reverse();
     }
     let relocated_ranges: Vec<(u64, u64)> = selected.iter().map(|f| (f.start, f.end)).collect();
+    let relocated = SpanIndex::new(relocated_ranges.iter().copied());
+    // Fragment keys fold the relocated set in when far decisions read
+    // it: hash it once, not once per function.
+    let relocated_fp = hash_of(&relocated_ranges);
+    debug_assert!(input.analysis.fp_defs_sorted(), "code_fp_defs_in needs sorted fp_defs");
 
     // Far-branch decision for branches from `.instr` back to original
     // code (conservative span estimate; only matters on RISC).
@@ -366,13 +371,13 @@ pub(crate) fn relocate(
         .iter()
         .map(|f| {
             let cfg_fp = cfg_fingerprint(f);
-            (*f, fragment_key(input, f, cfg_fp, instr_fp, far_to_orig, &relocated_ranges), cfg_fp)
+            (*f, fragment_key(input, f, cfg_fp, instr_fp, far_to_orig, relocated_fp), cfg_fp)
         })
         .collect();
     let frag_results = pool::map(threads, &keyed, |_, (func, key, cfg_fp)| {
         let started = std::time::Instant::now();
         let out = cache.fragment(*key, *cfg_fp, binary_fp, || {
-            build_fragment(input, func, far_to_orig, &relocated_ranges)
+            build_fragment(input, func, far_to_orig, &relocated)
         });
         (out, u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX))
     });
@@ -610,7 +615,7 @@ fn fragment_key(
     cfg_fp: u64,
     instr_fp: u64,
     far_to_orig: bool,
-    relocated_ranges: &[(u64, u64)],
+    relocated_fp: u64,
 ) -> u64 {
     let config = input.config;
     let weak_key = input.weak_keys.get(&func.entry).copied().unwrap_or_else(unique_key);
@@ -636,16 +641,13 @@ fn fragment_key(
         // Only far decisions read the relocated set; keeping it out of
         // the key otherwise lets ladder demotions leave other
         // functions' fragments warm.
-        relocated_ranges.hash(&mut h);
+        relocated_fp.hash(&mut h);
     }
     if config.mode == RewriteMode::FuncPtr
         && config.rewrite_mode_for(func.entry) == Some(RewriteMode::FuncPtr)
     {
-        for def in &input.analysis.fp_defs {
+        for def in input.analysis.code_fp_defs_in(func.start, func.end) {
             let FpDefSite::CodeImm { inst_addr, pair_first } = def.site else { continue };
-            if inst_addr < func.start || inst_addr >= func.end {
-                continue;
-            }
             let owner = input
                 .analysis
                 .func_at(def.target_fn.wrapping_add_signed(def.delta))
@@ -681,13 +683,13 @@ fn build_fragment(
     input: &RelocateInput<'_>,
     func: &FuncCfg,
     far_to_orig: bool,
-    relocated_ranges: &[(u64, u64)],
+    relocated: &SpanIndex,
 ) -> Result<FuncFragment, RewriteError> {
     let binary = input.binary;
     let arch = binary.arch;
     let config = input.config;
     let pie = binary.meta.pie;
-    let is_relocated = |addr: u64| relocated_ranges.iter().any(|(s, e)| addr >= *s && addr < *e);
+    let is_relocated = |addr: u64| relocated.contains(addr);
     let go_payload = config.unwind == UnwindStrategy::RaTranslation && binary.pclntab.is_some();
 
     // Local clone indices: the function's cloneable tables in
@@ -734,11 +736,8 @@ fn build_fragment(
     if config.mode == RewriteMode::FuncPtr
         && config.rewrite_mode_for(func.entry) == Some(RewriteMode::FuncPtr)
     {
-        for def in &input.analysis.fp_defs {
+        for def in input.analysis.code_fp_defs_in(func.start, func.end) {
             let FpDefSite::CodeImm { inst_addr, pair_first } = def.site else { continue };
-            if inst_addr < func.start || inst_addr >= func.end {
-                continue;
-            }
             // Keep pointers into demoted functions aimed at their
             // (intact) original code.
             let owner = input

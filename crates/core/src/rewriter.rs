@@ -12,7 +12,7 @@ use crate::relocate::{relocate, table_cloneable, RelocateInput};
 use crate::report::{RewriteReport, SkipReason};
 use icfgp_cfg::{live_in_at_blocks, FuncStatus, LivenessResult, TableKind};
 use icfgp_obj::{names, Binary, RaMap, RelocKind, Section, SectionFlags, SectionKind, TrapMap};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Rewriting failure.
@@ -325,6 +325,13 @@ impl Rewriter {
 
         // ----- function-pointer data-slot rewriting -----------------------
         if self.config.mode == RewriteMode::FuncPtr {
+            // RELATIVE relocations by slot, for retargeting below.
+            let mut relative_at: HashMap<u64, Vec<usize>> = HashMap::new();
+            for (i, r) in out.relocations.iter().enumerate() {
+                if r.kind == RelocKind::Relative {
+                    relative_at.entry(r.at).or_default().push(i);
+                }
+            }
             for def in &analysis.fp_defs {
                 let icfgp_cfg::FpDefSite::DataSlot { addr } = def.site else { continue };
                 // Pointers into a ladder-demoted function stay
@@ -347,10 +354,8 @@ impl Rewriter {
                     report.fp_slots_rewritten += 1;
                     // PIE: retarget the relocation so the loader writes
                     // the relocated (biased) value.
-                    for r in &mut out.relocations {
-                        if r.at == addr && r.kind == RelocKind::Relative {
-                            r.addend = value;
-                        }
+                    for &i in relative_at.get(&addr).into_iter().flatten() {
+                        out.relocations[i].addend = value;
                     }
                 }
             }

@@ -89,9 +89,11 @@ pub const FORMAT_VERSION: u32 = 2;
 /// stages re-keyed on the weak cross-binary identity and the emit
 /// payload became the position-independent `RelocEmit` — per-binary
 /// `Fragment`/`Emit` records from epoch 4 must not alias the new
-/// keys) — so stale stores are quarantined instead of silently never
-/// hitting or mass-failing decode.
-pub const KEY_EPOCH: u64 = 5;
+/// keys; epoch 6: fragment keys that read the relocated set fold in
+/// one hash of the set, not the set itself) — so stale stores are
+/// quarantined instead of silently never hitting or mass-failing
+/// decode.
+pub const KEY_EPOCH: u64 = 6;
 /// Segment header length: magic + version + epoch.
 const HEADER_LEN: usize = 8 + 4 + 8;
 /// Per-record frame length before the payload: tag + key + len + checksum.

@@ -67,9 +67,17 @@ pub enum SpanKind {
     /// Opening a store: taking the writer lock, then reading,
     /// checksumming and indexing its segments.
     StoreOpen,
+    /// The verifier's static check of one ladder round's rewrite,
+    /// including its strict re-analysis.
+    Verify,
+    /// The boundary pre-pass of an analysis (inside `analysis`).
+    Prepass,
+    /// The whole-binary function-pointer pass and the block splits it
+    /// induces (inside `analysis`).
+    FpAnalysis,
 }
 
-const SPAN_N: usize = 8;
+const SPAN_N: usize = 11;
 
 impl SpanKind {
     fn idx(self) -> usize {
@@ -82,6 +90,9 @@ impl SpanKind {
             SpanKind::Placement => 5,
             SpanKind::StoreFlush => 6,
             SpanKind::StoreOpen => 7,
+            SpanKind::Verify => 8,
+            SpanKind::Prepass => 9,
+            SpanKind::FpAnalysis => 10,
         }
     }
 
@@ -95,6 +106,9 @@ impl SpanKind {
             "placement",
             "store-flush",
             "store-open",
+            "verify",
+            "prepass",
+            "fp-analysis",
         ][idx]
     }
 }

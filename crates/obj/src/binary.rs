@@ -328,21 +328,29 @@ impl Binary {
     }
 
     /// The function symbol whose range contains `addr`.
+    ///
+    /// Non-empty function symbols are sorted and do not overlap
+    /// ([`Binary::validate_layout`]), so the last one starting at or
+    /// below `addr` is the only candidate; of aliases, the last one.
     #[must_use]
     pub fn function_at(&self, addr: u64) -> Option<&Symbol> {
         let pos = self.symbols.partition_point(|s| s.addr <= addr);
         self.symbols[..pos]
             .iter()
             .rev()
-            .find(|s| s.kind == SymbolKind::Func && s.contains(addr))
+            .find(|s| s.kind == SymbolKind::Func && s.size > 0)
+            .filter(|s| s.contains(addr))
     }
 
-    /// The function symbol starting exactly at `addr`.
+    /// The function symbol starting exactly at `addr` (the first, when
+    /// several do). A binary search: symbols are sorted by address.
     #[must_use]
     pub fn function_starting_at(&self, addr: u64) -> Option<&Symbol> {
-        self.symbols
+        let pos = self.symbols.partition_point(|s| s.addr < addr);
+        self.symbols[pos..]
             .iter()
-            .find(|s| s.kind == SymbolKind::Func && s.addr == addr)
+            .take_while(|s| s.addr == addr)
+            .find(|s| s.kind == SymbolKind::Func)
     }
 
     /// Look up a function by name.
@@ -358,12 +366,6 @@ impl Binary {
     /// Run-time (RELATIVE) relocations.
     pub fn runtime_relocations(&self) -> impl Iterator<Item = &Relocation> {
         self.relocations.iter().filter(|r| r.kind == RelocKind::Relative)
-    }
-
-    /// Whether an address is the site of a RELATIVE relocation.
-    #[must_use]
-    pub fn relocation_at(&self, addr: u64) -> Option<&Relocation> {
-        self.relocations.iter().find(|r| r.at == addr)
     }
 
     // ----- convenience ----------------------------------------------
@@ -448,6 +450,36 @@ mod tests {
         assert_eq!(b.function_starting_at(0x1080).unwrap().name, "b");
         assert!(b.function_starting_at(0x1081).is_none());
         assert_eq!(b.function_named("b").unwrap().addr, 0x1080);
+    }
+
+    #[test]
+    fn indexed_lookups_match_linear_scans_with_duplicate_addresses() {
+        let mut b = bin();
+        // At 0x1000: a data symbol and two function aliases.
+        b.add_symbol(Symbol::object("obj_a", 0x1000, 8));
+        b.add_symbol(Symbol::func("a_alias", 0x1000, 0x80, Language::C));
+        // Empty function symbols at a function's start and inside one,
+        // and a data symbol inside `b`.
+        b.add_symbol(Symbol::func("b_marker", 0x1080, 0, Language::C));
+        b.add_symbol(Symbol::func("a_inner", 0x1040, 0, Language::C));
+        b.add_symbol(Symbol::object("b_data", 0x10C0, 4));
+        b.validate_layout().expect("aliases and empty symbols are valid");
+        let starting_at = |addr: u64| {
+            b.symbols().iter().find(|s| s.kind == SymbolKind::Func && s.addr == addr)
+        };
+        let containing = |addr: u64| {
+            b.symbols().iter().rev().find(|s| s.kind == SymbolKind::Func && s.contains(addr))
+        };
+        for addr in 0xFF0..0x1110 {
+            assert_eq!(b.function_starting_at(addr), starting_at(addr), "{addr:#x}");
+            assert_eq!(b.function_at(addr), containing(addr), "{addr:#x}");
+        }
+        // `add_symbol` puts a new symbol before equal addresses: the
+        // order at 0x1000 is a_alias, obj_a, a; at 0x1080 b_marker, b.
+        assert_eq!(b.function_starting_at(0x1000).unwrap().name, "a_alias");
+        assert_eq!(b.function_at(0x1050).unwrap().name, "a");
+        assert_eq!(b.function_starting_at(0x1080).unwrap().name, "b_marker");
+        assert_eq!(b.function_at(0x1080).unwrap().name, "b");
     }
 
     #[test]

@@ -9,6 +9,7 @@ use icfgp_core::{
     table_cloneable, CloneSummary, RewriteArtifacts, RewriteConfig, RewriteMode, RewriteOutcome,
 };
 use icfgp_obj::{names, Binary};
+use std::collections::HashMap;
 
 /// Check every cloned jump table against the strict re-analysis.
 pub fn check_clones(
@@ -24,9 +25,12 @@ pub fn check_clones(
     }
     let instrumented: Vec<u64> = artifacts.plans.iter().map(|(e, _)| *e).collect();
     let jt_clone = outcome.binary.section(names::JT_CLONE);
+    // Each jump's first clone, for the per-table lookup below.
+    let mut clone_of: HashMap<u64, &CloneSummary> = HashMap::new();
     for c in &artifacts.clones {
         report.clones_checked += 1;
         check_placement(original, outcome, artifacts, c, jt_clone, report);
+        clone_of.entry(c.jump_addr).or_insert(c);
     }
     // Coverage + content, per strict table of each instrumented
     // function the strict pass can analyse. Functions the ladder
@@ -45,8 +49,7 @@ pub fn check_clones(
                 // CFL-completeness check covers them.
                 continue;
             }
-            let Some(c) = artifacts.clones.iter().find(|c| c.jump_addr == desc.jump_addr)
-            else {
+            let Some(&c) = clone_of.get(&desc.jump_addr) else {
                 report.push(
                     Severity::Error,
                     Check::CflCompleteness,

@@ -249,7 +249,9 @@ fn run_ladder(
         let round_span = trace.span(SpanKind::Round { round: round as u32 });
         let outcome = Rewriter::new(cfg.clone()).rewrite_cached(binary, instr, cache)?;
         round_stats.push(outcome.stats);
+        let verify_span = trace.span(SpanKind::Verify);
         let verify = verify_rewrite(binary, &outcome, &cfg)?;
+        verify_span.close();
         if verify.is_clean() {
             // Persist everything this ladder computed (no-op without
             // an attached store) before handing the outcome back, so a

@@ -2,6 +2,7 @@
 //! provenance of island bytes.
 
 use crate::report::{Check, Severity, VerifyReport};
+use icfgp_cfg::SpanIndex;
 use icfgp_core::{RewriteArtifacts, TrampolineKind};
 use std::collections::BTreeSet;
 
@@ -40,6 +41,7 @@ pub fn check_patches(artifacts: &RewriteArtifacts, report: &mut VerifyReport) {
     }
 
     // ----- budget + provenance -----------------------------------------
+    let donated = SpanIndex::new(artifacts.scratch_ranges.iter().copied());
     for (entry, plan) in &artifacts.plans {
         let mut islands: BTreeSet<u64> = BTreeSet::new();
         for t in &plan.trampolines {
@@ -62,11 +64,7 @@ pub fn check_patches(artifacts: &RewriteArtifacts, report: &mut VerifyReport) {
                     );
                 }
             } else if islands.contains(&p.addr) {
-                let donated = artifacts
-                    .scratch_ranges
-                    .iter()
-                    .any(|(s, e)| *s <= p.addr && end <= *e);
-                if !donated {
+                if !donated.covers(p.addr, end) {
                     report.push(
                         Severity::Error,
                         Check::ScratchProvenance,

@@ -36,7 +36,7 @@ fn usage() -> ExitCode {
         "icfgp — incremental CFG patching driver
 
 USAGE:
-  icfgp gen --workload <spec:NAME|small|firefox|docker|driverlib|switch_demo>
+  icfgp gen --workload <spec:NAME|small|firefox[:N]|docker|driverlib|switch_demo>
             [--arch A] [--pie] [--seed N] [--perturb N] -o FILE
   icfgp analyze FILE
   icfgp audit FILE [--mode <dir|jt|func-ptr>] [--format <text|json|sarif>]
@@ -305,9 +305,23 @@ fn u64_flag(args: &[String], flag: &str) -> Result<Option<u64>, Failure> {
     flag_value(args, flag, "an unsigned integer", |s| s.parse().ok())
 }
 
+/// Largest `N` in `gen --workload firefox:N`.
+const MAX_FIREFOX_SCALE: usize = 256;
+
 fn workload_flag(args: &[String]) -> Result<Option<String>, Failure> {
-    let accepted = format!("{}|spec:NAME (see `icfgp list-workloads`)", WORKLOADS.join("|"));
-    flag_value(args, "--workload", &accepted, |s| is_workload(s).then(|| s.to_string()))
+    let accepted = format!(
+        "{}|firefox:N (N in 1..={MAX_FIREFOX_SCALE})|spec:NAME (see `icfgp list-workloads`)",
+        WORKLOADS.join("|")
+    );
+    flag_value(args, "--workload", &accepted, |s| {
+        (is_workload(s) || firefox_scale(s).is_some()).then(|| s.to_string())
+    })
+}
+
+/// The scale in a `firefox:N` workload name, when `N` is in range.
+fn firefox_scale(name: &str) -> Option<usize> {
+    let n: usize = name.strip_prefix("firefox:")?.parse().ok()?;
+    (1..=MAX_FIREFOX_SCALE).contains(&n).then_some(n)
 }
 
 fn workloads_flag(args: &[String]) -> Result<Option<Vec<String>>, Failure> {
@@ -343,7 +357,9 @@ fn cmd_gen(args: &[String]) -> Result<(), Failure> {
     let perturb = u64_flag(args, "--perturb")?.unwrap_or(0);
     let spec = workload_flag(args)?.unwrap_or_else(|| "small".to_string());
     let out = arg_value(args, "-o").ok_or("missing -o FILE")?;
-    let workload = if let Some(name) = spec.strip_prefix("spec:") {
+    let workload = if let Some(scale) = firefox_scale(&spec) {
+        firefox_like(arch, scale)
+    } else if let Some(name) = spec.strip_prefix("spec:") {
         let name = SPEC_NAMES.iter().find(|n| **n == name).expect("validated by is_workload");
         let mut p = spec_params(name, arch, pie);
         p.perturb = perturb;

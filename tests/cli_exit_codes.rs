@@ -505,6 +505,46 @@ fn malformed_flag_values_are_usage_errors() {
 }
 
 #[test]
+fn gen_firefox_scale_is_checked_by_the_workload_parser() {
+    // `firefox:N` emits the scale-N firefox-like binary for N in
+    // 1..=256; any other N is a malformed `--workload` value (exit 64,
+    // no output), and plain `firefox` stays scale 1.
+    let out = tmp("never.json");
+    for bad in ["firefox:0", "firefox:x", "firefox:257", "firefox:", "firefox:-1"] {
+        let run = icfgp()
+            .args(["gen", "--workload", bad, "-o"])
+            .arg(&out)
+            .output()
+            .expect("gen runs");
+        let err = String::from_utf8_lossy(&run.stderr).to_string();
+        assert_eq!(run.status.code(), Some(64), "{bad}: {err}");
+        assert!(err.contains("firefox:N (N in 1..=256)"), "{bad} must list the accepted values: {err}");
+        assert!(!out.exists(), "{bad}: a usage error must do no work");
+    }
+    let gen = |workload: &str| {
+        let path = tmp("ff.json");
+        let run = icfgp()
+            .args(["gen", "--workload", workload, "-o"])
+            .arg(&path)
+            .output()
+            .expect("gen runs");
+        assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
+        let bytes = std::fs::read(&path).expect("output");
+        let _ = std::fs::remove_file(&path);
+        (bytes, String::from_utf8_lossy(&run.stdout).to_string())
+    };
+    let (plain, _) = gen("firefox");
+    let (one, one_log) = gen("firefox:1");
+    let (_, two_log) = gen("firefox:2");
+    assert_eq!(plain, one, "plain `firefox` is scale 1");
+    // "firefox-libxul: 220 functions, ..."
+    let funcs = |log: &str| -> usize {
+        log.split(": ").nth(1).and_then(|r| r.split(' ').next()).and_then(|n| n.parse().ok()).expect(log)
+    };
+    assert!(funcs(&two_log) > funcs(&one_log), "scale 2 is larger: {two_log} vs {one_log}");
+}
+
+#[test]
 fn out_of_bounds_function_symbols_are_rejected_at_load() {
     // A function size that wraps the address space used to panic in
     // the section reader (exit 101); symbols out of address order were
